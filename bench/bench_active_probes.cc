@@ -35,11 +35,9 @@ RunningStat MeasureProbes(const ChainInstance& instance, double epsilon,
     ActiveSolveOptions options;
     options.sampling = ActiveSamplingParams::Practical(epsilon, 0.05);
     options.seed = 1000 + static_cast<uint64_t>(trial);
-    if (greedy_chains) {
-      options.use_greedy_chains = true;
-    } else {
-      options.precomputed_chains = instance.chains;
-    }
+    options.precomputed_chains =
+        greedy_chains ? GreedyChainDecomposition(instance.data.points())
+                      : instance.chains;
     const auto result =
         SolveActiveMultiD(instance.data.points(), oracle, options);
     probes.Add(static_cast<double>(result.probes));

@@ -1,56 +1,39 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Experiment E3: the max-flow substrate. Compares the four bundled
-// solvers on (a) the classification networks Theorem 4 actually builds
-// and (b) adversarial layered networks, checking they agree on the flow
-// value and reporting wall-clock times. The paper cites Goldberg-Tarjan
-// [14] for T_maxflow = O(n^3); Dinic is our default (see DESIGN.md).
+// Experiment E3: the max-flow substrate. Compares the two bundled
+// solvers -- Dinic, the default, and Edmonds-Karp, the reference oracle
+// -- on (a) the dense classification networks Theorem 4 builds and (b)
+// adversarial layered networks, checking they agree on the flow value
+// and reporting wall-clock times. The paper cites Goldberg-Tarjan [14]
+// for T_maxflow = O(n^3); Dinic is our default (see DESIGN.md).
 
 #include <iostream>
+#include <vector>
 
 #include "bench_util.h"
 #include "data/synthetic.h"
 #include "graph/max_flow.h"
 #include "passive/contending.h"
 #include "passive/flow_solver.h"
+#include "passive/sparse_network.h"
+#include "util/concurrency.h"
 #include "util/random.h"
 
 namespace monoclass {
 namespace {
 
-// Builds the Theorem 4 classification network for a planted instance.
-FlowNetwork BuildClassificationNetwork(const LabeledPointSet& data,
-                                       int* source, int* sink) {
+// The dense Theorem 4 classification network for a planted instance,
+// built serially (source = 0, sink = 1).
+FlowNetwork BuildClassificationNetwork(const LabeledPointSet& data) {
   const WeightedPointSet weighted = WeightedPointSet::UnitWeights(data);
-  const auto partition =
-      ComputeContending(weighted.points(), weighted.labels());
-  const auto& active = partition.contending;
-  const double infinite = weighted.TotalWeight() + 1.0;
-  FlowNetwork network(static_cast<int>(active.size()) + 2);
-  *source = 0;
-  *sink = 1;
-  for (size_t k = 0; k < active.size(); ++k) {
-    const size_t i = active[k];
-    const int vertex = static_cast<int>(k) + 2;
-    if (weighted.label(i) == 0) {
-      network.AddEdge(*source, vertex, weighted.weight(i));
-    } else {
-      network.AddEdge(vertex, *sink, weighted.weight(i));
-    }
-  }
-  for (size_t a = 0; a < active.size(); ++a) {
-    if (weighted.label(active[a]) != 0) continue;
-    for (size_t b = 0; b < active.size(); ++b) {
-      if (weighted.label(active[b]) != 1) continue;
-      if (DominatesEq(weighted.point(active[a]),
-                      weighted.point(active[b]))) {
-        network.AddEdge(static_cast<int>(a) + 2, static_cast<int>(b) + 2,
-                        infinite);
-      }
-    }
-  }
-  return network;
+  const std::vector<size_t> active =
+      ComputeContending(weighted.points(), weighted.labels()).contending;
+  ParallelOptions serial;
+  serial.threads = 1;
+  return BuildDenseDominanceNetwork(weighted, active,
+                                    PassiveInfiniteCapacity(weighted), serial)
+      .network;
 }
 
 // Dense layered network: `layers` x `width` vertices, random capacities.
@@ -82,7 +65,7 @@ FlowNetwork BuildLayeredNetwork(Rng& rng, int layers, int width, int* source,
 void Run() {
   bench::PrintHeader(
       "E3", "max-flow substrate ([14] in the paper)",
-      "all four solvers agree; relative performance on the Theorem 4 "
+      "both solvers agree; relative performance on the Theorem 4 "
       "classification networks and on dense layered networks");
 
   bench::PrintSection("classification networks (planted, 2% noise, d=2)");
@@ -95,13 +78,10 @@ void Run() {
       options.seed = n + 1;
       const PlantedInstance instance = GeneratePlanted(options);
       for (const auto algorithm : AllMaxFlowAlgorithms()) {
-        int source = 0;
-        int sink = 0;
-        FlowNetwork network =
-            BuildClassificationNetwork(instance.data, &source, &sink);
+        FlowNetwork network = BuildClassificationNetwork(instance.data);
         const auto solver = CreateMaxFlowSolver(algorithm);
         obs::SpanTimer timer("bench/classification_solve");
-        const double flow = solver->Solve(network, source, sink);
+        const double flow = solver->Solve(network, 0, 1);
         table.AddRowValues(n, solver->Name(), FormatDouble(flow, 6),
                            FormatDouble(timer.ElapsedMillis(), 4));
       }

@@ -113,7 +113,7 @@ void BM_MaxFlowSolver(benchmark::State& state) {
   state.SetLabel(solver->Name());
 }
 BENCHMARK(BM_MaxFlowSolver)
-    ->ArgsProduct({{32, 96}, {0, 1, 2, 3}});
+    ->ArgsProduct({{32, 96}, {0, 1}});
 
 void BM_ThresholdIndexActivate(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));

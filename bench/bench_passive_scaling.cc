@@ -22,6 +22,16 @@
 namespace monoclass {
 namespace {
 
+// Exact solve of `set` through the network `build` makes over the
+// contending points, whichever build SolvePassiveWeighted would pick.
+PassiveSolveResult SolvePassiveWith(
+    decltype(&BuildDenseDominanceNetwork) build, const WeightedPointSet& set) {
+  const std::vector<size_t> active =
+      ComputeContending(set.points(), set.labels()).contending;
+  return SolvePassiveOnNetwork(
+      set, active, build(set, active, PassiveInfiniteCapacity(set), {}));
+}
+
 void Run() {
   bench::PrintHeader(
       "E2", "Theorem 4",
@@ -123,16 +133,15 @@ void Run() {
       options.dimension = 2;
       options.noise_flips = n / 4;
       options.seed = 5 * n;
-      const PlantedInstance instance = GeneratePlanted(options);
-      PassiveSolveOptions dense;
-      dense.network = PassiveNetworkBuild::kDense;
-      PassiveSolveOptions sparse;
-      sparse.network = PassiveNetworkBuild::kSparseChainRelay;
+      const WeightedPointSet set =
+          WeightedPointSet::UnitWeights(GeneratePlanted(options).data);
       obs::SpanTimer dense_timer("bench/solve_dense");
-      const auto dense_result = SolvePassiveUnweighted(instance.data, dense);
+      const auto dense_result =
+          SolvePassiveWith(BuildDenseDominanceNetwork, set);
       const double dense_ms = dense_timer.ElapsedMillis();
       obs::SpanTimer sparse_timer("bench/solve_sparse");
-      const auto sparse_result = SolvePassiveUnweighted(instance.data, sparse);
+      const auto sparse_result =
+          SolvePassiveWith(BuildSparseChainRelayNetwork, set);
       const double sparse_ms = sparse_timer.ElapsedMillis();
       table.AddRowValues(
           n, sparse_result.num_contending, sparse_result.network_chains,
@@ -170,10 +179,9 @@ void Run() {
     const WeightedPointSet weighted =
         WeightedPointSet::UnitWeights(instance.data);
 
-    PassiveSolveOptions sparse;
-    sparse.network = PassiveNetworkBuild::kSparseChainRelay;
+    // ~20000 contending points: the solver takes the chain-relay build.
     obs::SpanTimer sparse_timer("bench/solve_sparse_20k");
-    const auto result = SolvePassiveUnweighted(instance.data, sparse);
+    const auto result = SolvePassiveWeighted(weighted);
     const double sparse_ms = sparse_timer.ElapsedMillis();
 
     obs::SpanTimer count_timer("bench/count_dense_pairs");

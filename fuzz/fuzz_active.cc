@@ -34,9 +34,9 @@ void FuzzOne(const uint8_t* data, size_t size) {
   options.parallel.threads = DecodeThreadCount(in);
   const size_t path = in.IntLessThan(3);
   if (path == 1) {
-    options.use_greedy_chains = true;
+    options.precomputed_chains = GreedyChainDecomposition(truth.points());
   } else if (path == 2 && truth.dimension() == 2) {
-    options.use_fast_2d_chains = true;
+    options.precomputed_chains = MinimumChainDecomposition2D(truth.points());
   }
 
   const bool noisy = in.TakeByte() % 4 == 0;

@@ -5,11 +5,13 @@
 //
 // Decodes an arbitrary point set and runs every decomposition path --
 // the Lemma 6 matching-based minimum, the greedy first-fit baseline,
-// the ScalableChainDecomposition router (forced down both its exact and
-// its greedy branch), and for d == 2 the patience fast path -- feeding
-// every result to AuditChainDecomposition (partition, chain ordering,
-// Dilworth minimality certificates) and cross-checking the chain counts
-// against each other: greedy >= minimum, patience == minimum.
+// the ScalableChainDecomposition router, and for d == 2 the patience
+// fast path -- feeding every result to AuditChainDecomposition
+// (partition, chain ordering, Dilworth minimality certificates) and
+// cross-checking the chain counts against each other: greedy >= minimum,
+// router == patience == minimum. Decoded sets stay far below
+// kSparseExactMatchingLimit, so the router's greedy fallback is covered
+// by chain_decomposition_test instead.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,18 +40,13 @@ void FuzzOne(const uint8_t* data, size_t size) {
   FuzzExpect(greedy.NumChains() >= minimum.NumChains(), "chains/greedy",
              "greedy produced fewer chains than the minimum decomposition");
 
-  // The scalability router, forced down both branches: a limit above n
-  // routes d >= 3 inputs through the exact matching path, a limit of 0
-  // through the first-fit fallback. Both must stay valid decompositions.
-  for (const size_t limit : {points.size() + 1, size_t{0}}) {
-    const ChainDecomposition scalable =
-        ScalableChainDecomposition(points, limit);
-    FuzzRequireAudit(
-        AuditChainDecomposition(points, scalable, /*expect_minimum=*/false),
-        "chains/scalable(limit=" + std::to_string(limit) + ")");
-    FuzzExpect(scalable.NumChains() >= minimum.NumChains(), "chains/scalable",
-               "scalable router produced fewer chains than the minimum");
-  }
+  // At these sizes every branch of the router is a minimum one.
+  const ChainDecomposition scalable = ScalableChainDecomposition(points);
+  FuzzRequireAudit(
+      AuditChainDecomposition(points, scalable, /*expect_minimum=*/true),
+      "chains/scalable");
+  FuzzExpect(scalable.NumChains() == minimum.NumChains(), "chains/scalable",
+             "scalable router chain count disagrees with the minimum");
 
   if (points.dimension() == 2) {
     const ChainDecomposition patience = MinimumChainDecomposition2D(points);

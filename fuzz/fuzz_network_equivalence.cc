@@ -4,11 +4,12 @@
 // Differential fuzz harness for dense-vs-sparse network equivalence.
 //
 // Decodes a weighted point set and solves it through the dense Theorem 4
-// network and the sparse chain-relay construction (including the kAuto
-// router pinned to a fuzzed threshold and a fuzzed thread count for the
-// relay wiring). The sparse rewrite is provably cut-preserving, so the
-// harness demands *bit-identical* optimum, assignment and classifier --
-// any drift is a finding. Built with MONOCLASS_AUDIT=ON every solve also
+// network and the sparse chain-relay construction (the latter at a
+// fuzzed thread count for the relay wiring), and through
+// SolvePassiveWeighted, which picks one of the two by size. The sparse
+// rewrite is provably cut-preserving, so the harness demands
+// *bit-identical* optimum, assignment and classifier -- any drift is a
+// finding. Built with MONOCLASS_AUDIT=ON every solve also
 // re-verifies Lemmas 7/8/18 and relay purity internally.
 
 #include <cstddef>
@@ -27,16 +28,13 @@ void FuzzOne(const uint8_t* data, size_t size) {
   const WeightedPointSet set = DecodeWeightedPointSet(in, 1, 48, 4);
   const size_t threads = DecodeThreadCount(in);
 
-  PassiveSolveOptions dense;
-  dense.network = PassiveNetworkBuild::kDense;
-  const PassiveSolveResult dense_result = SolvePassiveWeighted(set, dense);
+  const PassiveSolveResult dense_result =
+      SolvePassiveWith(BuildDenseDominanceNetwork, set);
   FuzzRequireAudit(AuditMonotone(dense_result.classifier, set.points()),
                    "network/dense");
 
-  PassiveSolveOptions sparse;
-  sparse.network = PassiveNetworkBuild::kSparseChainRelay;
-  sparse.parallel.threads = threads;
-  const PassiveSolveResult sparse_result = SolvePassiveWeighted(set, sparse);
+  const PassiveSolveResult sparse_result =
+      SolvePassiveWith(BuildSparseChainRelayNetwork, set, threads);
   FuzzRequireAudit(AuditMonotone(sparse_result.classifier, set.points()),
                    "network/sparse");
 
@@ -56,17 +54,14 @@ void FuzzOne(const uint8_t* data, size_t size) {
                    set.points()),
       context, "sparse classifier diverged from the dense build");
 
-  // The kAuto router must agree with whichever branch it picked; pin the
-  // threshold to a fuzzed value so both sides of the boundary are hit.
-  PassiveSolveOptions routed;
-  routed.network = PassiveNetworkBuild::kAuto;
-  routed.sparse_auto_threshold = in.IntLessThan(set.size() + 2);
-  const PassiveSolveResult routed_result = SolvePassiveWeighted(set, routed);
+  // The solver must agree with whichever build it picked.
+  const PassiveSolveResult routed_result = SolvePassiveWeighted(set);
   FuzzExpect(routed_result.assignment == dense_result.assignment,
-             "network/auto", "kAuto assignment diverged from the dense build");
+             "network/solver",
+             "solver assignment diverged from the dense build");
   FuzzExpect(routed_result.optimal_weighted_error ==
                  dense_result.optimal_weighted_error,
-             "network/auto", "kAuto optimum diverged from the dense build");
+             "network/solver", "solver optimum diverged from the dense build");
 }
 
 }  // namespace

@@ -369,6 +369,27 @@ inline std::string DescribeIncrementalScenario(
   return out;
 }
 
+// ---------------------------------------------------------------------
+// Cold passive solves through a pinned network build.
+
+// BuildDenseDominanceNetwork or BuildSparseChainRelayNetwork (one
+// signature).
+using NetworkBuilder = decltype(&BuildDenseDominanceNetwork);
+
+// Exact passive solve of `set` through the network `build` makes over
+// the contending points, whichever build SolvePassiveWeighted would pick
+// at this size.
+inline PassiveSolveResult SolvePassiveWith(NetworkBuilder build,
+                                           const WeightedPointSet& set,
+                                           size_t threads = 1) {
+  ParallelOptions parallel;
+  parallel.threads = threads;
+  const std::vector<size_t> active =
+      ComputeContending(set.points(), set.labels(), parallel).contending;
+  return SolvePassiveOnNetwork(
+      set, active, build(set, active, PassiveInfiniteCapacity(set), parallel));
+}
+
 // Replays the scenario through an IncrementalPassiveSolver,
 // cross-checking the warm solution against cold solves on BOTH network
 // builds after every delta, and closing with the full
@@ -392,15 +413,11 @@ inline std::string ReplayIncrementalScenario(
       return "";
     }
     const WeightedPointSet snapshot = solver.Snapshot();
-    for (const PassiveNetworkBuild build :
-         {PassiveNetworkBuild::kDense,
-          PassiveNetworkBuild::kSparseChainRelay}) {
-      PassiveSolveOptions cold_options;
-      cold_options.network = build;
-      const PassiveSolveResult cold =
-          SolvePassiveWeighted(snapshot, cold_options);
+    for (const NetworkBuilder build :
+         {&BuildDenseDominanceNetwork, &BuildSparseChainRelayNetwork}) {
+      const PassiveSolveResult cold = SolvePassiveWith(build, snapshot);
       const std::string label =
-          build == PassiveNetworkBuild::kDense ? "dense" : "sparse";
+          cold.used_sparse_network ? "sparse" : "dense";
       if (warm.assignment != cold.assignment) {
         return where + ": assignment diverged from cold " + label + " solve";
       }

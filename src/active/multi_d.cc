@@ -9,7 +9,6 @@
 
 #include "active/one_d.h"
 #include "active/sample_audit.h"
-#include "core/chain_decomposition_2d.h"
 #include "core/invariant_audit.h"
 #include "obs/obs.h"
 #include "obs/probe_budget.h"
@@ -71,10 +70,6 @@ ActiveSolveResult SolveActiveMultiD(const PointSet& points,
       decomposition = *options.precomputed_chains;
       MC_CHECK(ValidateChainDecomposition(points, decomposition))
           << "precomputed_chains is not a valid decomposition of the input";
-    } else if (options.use_greedy_chains) {
-      decomposition = GreedyChainDecomposition(points);
-    } else if (options.use_fast_2d_chains && points.dimension() == 2) {
-      decomposition = MinimumChainDecomposition2D(points);
     } else {
       decomposition = MinimumChainDecomposition(points);
     }

@@ -70,11 +70,10 @@ ChainDecomposition GreedyChainDecomposition(const PointSet& points) {
   return decomposition;
 }
 
-ChainDecomposition ScalableChainDecomposition(const PointSet& points,
-                                              size_t exact_matching_limit) {
+ChainDecomposition ScalableChainDecomposition(const PointSet& points) {
   if (points.dimension() == 2) return MinimumChainDecomposition2D(points);
   if (points.dimension() <= 1) return GreedyChainDecomposition(points);
-  if (points.size() <= exact_matching_limit) {
+  if (points.size() <= kSparseExactMatchingLimit) {
     return MinimumChainDecomposition(points);
   }
   return GreedyChainDecomposition(points);

@@ -10,6 +10,7 @@
 #ifndef MONOCLASS_CORE_CHAIN_DECOMPOSITION_H_
 #define MONOCLASS_CORE_CHAIN_DECOMPOSITION_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "core/dataset.h"
@@ -40,6 +41,12 @@ ChainDecomposition MinimumChainDecomposition(const PointSet& points);
 // bench_active_probes its downstream probe-cost effect.
 ChainDecomposition GreedyChainDecomposition(const PointSet& points);
 
+// Number of points a d >= 3 set may have before the Lemma 6
+// matching-based minimum decomposition (O(n^2.5)) would cost more than
+// the dense network build the sparse chain-relay build is meant to
+// avoid; ScalableChainDecomposition falls back to greedy above it.
+inline constexpr size_t kSparseExactMatchingLimit = 2048;
+
 // Scalability front-end used by consumers that need *a* valid chain
 // decomposition with a good (not necessarily provably minimum) chain
 // count at any input size -- notably the sparse chain-relay network
@@ -47,13 +54,12 @@ ChainDecomposition GreedyChainDecomposition(const PointSet& points);
 //   * d == 2  -- the O(n log n) patience fast path (exactly w chains);
 //   * d <= 1  -- first-fit greedy over the sorted order (exactly 1 chain
 //               in a total order, so also minimum);
-//   * d >= 3, n <= exact_matching_limit -- Lemma 6 via Hopcroft-Karp
-//               (exactly w chains, O(d n^2 + n^2.5));
-//   * d >= 3, n >  exact_matching_limit -- first-fit greedy (>= w
+//   * d >= 3, n <= kSparseExactMatchingLimit -- Lemma 6 via
+//               Hopcroft-Karp (exactly w chains, O(d n^2 + n^2.5));
+//   * d >= 3, n >  kSparseExactMatchingLimit -- first-fit greedy (>= w
 //               chains; consumers degrade gracefully in the chain
 //               count, they never lose correctness).
-ChainDecomposition ScalableChainDecomposition(const PointSet& points,
-                                              size_t exact_matching_limit);
+ChainDecomposition ScalableChainDecomposition(const PointSet& points);
 
 // Validates the three chain-decomposition invariants: partition (every
 // index exactly once), ordering (each chain ascends under weak dominance),

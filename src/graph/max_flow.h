@@ -45,14 +45,12 @@ class MaxFlowSolver {
 
 // Identifiers for the bundled solver implementations.
 enum class MaxFlowAlgorithm {
-  kEdmondsKarp,        // BFS augmenting paths, O(VE^2)
-  kDinic,              // level graph + blocking flow, O(V^2 E)
-  kPushRelabelFifo,    // Goldberg-Tarjan FIFO, O(V^3)
-  kPushRelabelHighest, // Goldberg-Tarjan highest-label, O(V^2 sqrt(E))
+  kEdmondsKarp,  // BFS augmenting paths, O(VE^2); the reference oracle
+  kDinic,        // level graph + blocking flow, O(V^2 E)
 };
 
-// Factory. kDinic is the library default (best all-round on the
-// classification networks; see bench_maxflow).
+// Factory. kDinic is the library default (fastest on the classification
+// networks; see bench_maxflow).
 std::unique_ptr<MaxFlowSolver> CreateMaxFlowSolver(MaxFlowAlgorithm algorithm);
 
 // All bundled algorithms, for sweep-style tests and benchmarks.

@@ -3,6 +3,7 @@
 
 #include "net/server.h"
 
+#include <string>
 #include <utility>
 
 #include "net/wire.h"
@@ -175,6 +176,14 @@ bool Server::HandleFrame(Connection* connection, const Frame& frame) {
           const PassiveSolveRequest request =
               PassiveSolveRequest::Unserialize(in);
           in.ExpectEnd();
+          if (request.algorithm !=
+              static_cast<uint8_t>(WireSolverAlgorithm::kFlowExact)) {
+            SendError(connection, id,
+                      static_cast<uint32_t>(WireErrorCode::kBadRequest),
+                      "unknown passive algorithm " +
+                          std::to_string(request.algorithm));
+            break;
+          }
           MC_COUNTER("mc.srv.passive_solves", 1);
           WeightedPointSet weighted;
           for (size_t i = 0; i < request.points.size(); ++i) {
@@ -185,8 +194,8 @@ bool Server::HandleFrame(Connection* connection, const Frame& frame) {
           PassiveSolveOptions solve_options;
           solve_options.reduce_to_contending =
               request.reduce_to_contending != 0;
-          // kAuto routes large instances through the sparse chain-relay
-          // network build automatically.
+          // The solver picks the network build by contending-set size,
+          // so used_sparse_network reports which one this instance got.
           const ::monoclass::PassiveSolveResult solved =
               SolvePassiveWeighted(weighted, solve_options);
           net::PassiveSolveResult reply;

@@ -9,7 +9,9 @@
 //   2. build the flow network -- source -> each label-0 point with
 //      capacity weight(p); each label-1 point -> sink with capacity
 //      weight(q); an "infinite" edge p -> q for every contending pair
-//      with label-0 p dominating label-1 q;
+//      with label-0 p dominating label-1 q (routed through chain relays
+//      from kSparseNetworkMinContending points up, with the same min cut;
+//      passive/sparse_network.h);
 //   3. compute a maximum flow; by max-flow min-cut (Lemmas 7-8) the
 //      residual-unreachable side reads off a minimum cut-edge set, which
 //      never contains an infinite edge (Lemma 18);
@@ -37,15 +39,8 @@ struct PassiveSolveOptions {
   // all points (ablation knob for bench_passive_scaling; the answer is
   // identical, the network is just larger).
   bool reduce_to_contending = true;
-  // How step 2 materializes the network: the Theta(n^2)-edge dense build
-  // or the O(n w) chain-relay build (passive/sparse_network.h). Both
-  // yield the identical min-cut value and the identical classifier;
-  // kAuto picks sparse at or above sparse_auto_threshold contending
-  // points.
-  PassiveNetworkBuild network = PassiveNetworkBuild::kAuto;
-  size_t sparse_auto_threshold = 1024;
   // Parallelism for the O(n^2) phases: the contending scan and the
-  // dominance-edge construction. Both are row-partitioned with
+  // network construction. Both are row-partitioned with
   // per-shard buffers concatenated in shard order, so the network (and
   // hence the classifier) is bit-identical to the serial build at any
   // thread count. threads = 1 forces the exact serial path; 0 =
@@ -89,7 +84,23 @@ double PassiveInfiniteCapacity(const WeightedPointSet& set);
 void FinalizePassiveResult(const WeightedPointSet& set,
                            PassiveSolveResult& result);
 
-// Solves Problem 2 exactly. Requires a non-empty input.
+// Steps 3-4 of the pipeline on a network built over `active` by either
+// builder of passive/sparse_network.h: max flow, the residual-
+// reachability cut, the assignment (h*_cut on `active`, every other
+// point keeps its own label) and FinalizePassiveResult. `active` may be
+// the contending set or any superset of it (Lemma 15); num_contending
+// is reported as active.size(). SolvePassiveWeighted calls it with the
+// build it picks; tests and benches call it with either build to
+// compare them.
+PassiveSolveResult SolvePassiveOnNetwork(
+    const WeightedPointSet& set, const std::vector<size_t>& active,
+    SparseNetworkPlan plan,
+    MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic);
+
+// Solves Problem 2 exactly: the contending scan, the dense network build
+// below kSparseNetworkMinContending active points and the chain-relay
+// build at or above it, then SolvePassiveOnNetwork. Requires a non-empty
+// input.
 PassiveSolveResult SolvePassiveWeighted(
     const WeightedPointSet& set, const PassiveSolveOptions& options = {});
 

@@ -571,8 +571,8 @@ void IncrementalPassiveSolver::Rebuild() {
   // keeps the same transparency argument with fewer chains.
   if (!ones.empty()) {
     MC_SPAN("inc/rebuild_chains");
-    const ChainDecomposition decomposition = ScalableChainDecomposition(
-        points_.Subset(ones), options_.exact_matching_limit);
+    const ChainDecomposition decomposition =
+        ScalableChainDecomposition(points_.Subset(ones));
     chains_.assign(decomposition.NumChains(), {});
     for (size_t c = 0; c < decomposition.chains.size(); ++c) {
       for (const size_t k : decomposition.chains[c]) {

@@ -5,11 +5,60 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "core/chain_decomposition.h"
 #include "obs/obs.h"
 
 namespace monoclass {
+namespace {
+
+// Source -> label-0 point and label-1 point -> sink edges carrying the
+// point weights, in active order (vertex 2 + k for the k-th active
+// point). Both builders lay these down first, identically.
+void AddTerminalEdges(const WeightedPointSet& set,
+                      const std::vector<size_t>& active,
+                      SparseNetworkPlan& plan) {
+  const int source = 0;
+  const int sink = 1;
+  for (size_t k = 0; k < active.size(); ++k) {
+    const size_t i = active[k];
+    const int vertex = static_cast<int>(k) + 2;
+    if (set.label(i) == 0) {
+      plan.network.AddEdge(source, vertex, set.weight(i));
+    } else {
+      plan.network.AddEdge(vertex, sink, set.weight(i));
+    }
+    ++plan.finite_edges;
+  }
+}
+
+// Per-shard (active position, target) hits of a sharded edge scan.
+using ShardEdges = std::vector<std::vector<std::pair<size_t, size_t>>>;
+
+// One empty buffer per shard a ParallelFor over `n` rows can touch.
+ShardEdges MakeShardEdges(const ParallelOptions& parallel, size_t n) {
+  return ShardEdges(std::max<size_t>(
+      size_t{1}, std::min<size_t>(parallel.Resolve(), n == 0 ? 1 : n)));
+}
+
+// Adds every hit (k, t) as the infinite edge 2 + k -> target_base + t,
+// buffers in shard order, so the edge list is bit-identical to the
+// serial scan at any thread count. FlowNetwork::AddEdge itself is
+// unsynchronized by design -- it never runs concurrently.
+void AddShardEdges(const ShardEdges& shard_edges, int target_base,
+                   double infinite_capacity, SparseNetworkPlan& plan) {
+  for (const auto& edges : shard_edges) {
+    for (const auto& [k, t] : edges) {
+      plan.network.AddEdge(static_cast<int>(k) + 2,
+                           target_base + static_cast<int>(t),
+                           infinite_capacity);
+      ++plan.infinite_edges;
+    }
+  }
+}
+
+}  // namespace
 
 size_t HighestDominatedPosition(const PointSet& points,
                                 const std::vector<size_t>& members,
@@ -29,6 +78,41 @@ size_t HighestDominatedPosition(const PointSet& points,
   return lo == 0 ? kNoDominatedMember : lo - 1;
 }
 
+SparseNetworkPlan BuildDenseDominanceNetwork(
+    const WeightedPointSet& set, const std::vector<size_t>& active,
+    double infinite_capacity, const ParallelOptions& parallel) {
+  MC_SPAN("passive/build_network");
+  const size_t num_active = active.size();
+  SparseNetworkPlan plan;
+  plan.relay_begin = -1;
+  plan.network = FlowNetwork(static_cast<int>(num_active) + 2);
+  AddTerminalEdges(set, active, plan);
+
+  // Dominance-edge discovery is the O(n^2) part; it only *reads* the
+  // point set, so rows shard freely. Each shard records its (a, b) hits
+  // in a local buffer, inserted into the network only after the scan.
+  ShardEdges shard_edges = MakeShardEdges(parallel, num_active);
+  ParallelFor(num_active, parallel,
+              [&](size_t begin, size_t end, size_t shard) {
+                MC_SPAN("par.dominance");
+                std::vector<std::pair<size_t, size_t>>& edges =
+                    shard_edges[shard];
+                for (size_t a = begin; a < end; ++a) {
+                  const size_t p = active[a];
+                  if (set.label(p) != 0) continue;
+                  for (size_t b = 0; b < num_active; ++b) {
+                    const size_t q = active[b];
+                    if (set.label(q) != 1 || p == q) continue;
+                    if (DominatesEq(set.point(p), set.point(q))) {
+                      edges.emplace_back(a, b);
+                    }
+                  }
+                }
+              });
+  AddShardEdges(shard_edges, 2, infinite_capacity, plan);
+  return plan;
+}
+
 SparseNetworkPlan BuildSparseChainRelayNetwork(
     const WeightedPointSet& set, const std::vector<size_t>& active,
     double infinite_capacity, const ParallelOptions& parallel) {
@@ -42,8 +126,7 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
   ChainDecomposition decomposition;
   {
     MC_SPAN("passive/sparse_chains");
-    decomposition = ScalableChainDecomposition(set.points().Subset(active),
-                                               kSparseExactMatchingLimit);
+    decomposition = ScalableChainDecomposition(set.points().Subset(active));
   }
   plan.num_chains = decomposition.NumChains();
 
@@ -66,22 +149,9 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
     plan.num_relays += members[c].size();
   }
 
-  const int source = 0;
-  const int sink = 1;
   plan.network =
       FlowNetwork(static_cast<int>(num_active + plan.num_relays) + 2);
-
-  // Terminal edges, in active order (matching the dense build).
-  for (size_t k = 0; k < num_active; ++k) {
-    const size_t i = active[k];
-    const int vertex = static_cast<int>(k) + 2;
-    if (set.label(i) == 0) {
-      plan.network.AddEdge(source, vertex, set.weight(i));
-    } else {
-      plan.network.AddEdge(vertex, sink, set.weight(i));
-    }
-    ++plan.finite_edges;
-  }
+  AddTerminalEdges(set, active, plan);
 
   // Relay spines: each relay feeds its own label-1 point and the next
   // relay down its chain.
@@ -100,14 +170,9 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
   }
 
   // Per-point relay wiring: for every label-0 point, one binary search
-  // per chain. Rows only read the point set, so they shard freely; the
-  // per-shard hit lists concatenate in shard order, keeping the edge
-  // list bit-identical to the serial loop at any thread count (the same
-  // contract as the dense dominance scan in flow_solver.cc).
-  const size_t max_shards = std::max<size_t>(
-      size_t{1}, std::min<size_t>(parallel.Resolve(),
-                                  num_active == 0 ? 1 : num_active));
-  std::vector<std::vector<std::pair<size_t, size_t>>> shard_edges(max_shards);
+  // per chain. Rows only read the point set, so they shard freely, under
+  // the same merge contract as the dense dominance scan above.
+  ShardEdges shard_edges = MakeShardEdges(parallel, num_active);
   ParallelFor(num_active, parallel,
               [&](size_t begin, size_t end, size_t shard) {
                 MC_SPAN("par.sparse_relay_wiring");
@@ -126,14 +191,7 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
                   }
                 }
               });
-  for (const auto& edges : shard_edges) {
-    for (const auto& [k, relay] : edges) {
-      plan.network.AddEdge(static_cast<int>(k) + 2,
-                           plan.relay_begin + static_cast<int>(relay),
-                           infinite_capacity);
-      ++plan.infinite_edges;
-    }
-  }
+  AddShardEdges(shard_edges, plan.relay_begin, infinite_capacity, plan);
   return plan;
 }
 

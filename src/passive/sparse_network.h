@@ -1,9 +1,10 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Sparse dominance-flow networks via chain relays.
+// The two builders of the Theorem 4 flow network, and the rule that
+// picks between them.
 //
-// The dense Theorem 4 build materializes one infinite-capacity edge per
+// The dense build materializes one infinite-capacity edge per
 // dominating (label-0 p, label-1 q) pair -- Theta(n^2) edges, which caps
 // the n the passive solver scales to long before the max-flow solve
 // does. The paper's own machinery fixes this: a chain decomposition
@@ -39,22 +40,17 @@
 
 namespace monoclass {
 
-// How SolvePassiveWeighted materializes the Theorem 4 flow network.
-enum class PassiveNetworkBuild {
-  // Dense below PassiveSolveOptions::sparse_auto_threshold contending
-  // points, sparse at or above it (the default).
-  kAuto,
-  // One infinite edge per dominating (label-0, label-1) pair: Theta(n^2)
-  // edges. Kept as the oracle the sparse build is tested against.
-  kDense,
-  // Per-chain relay vertices: O(n w) edges, identical min cut and
-  // identical optimal classifier.
-  kSparseChainRelay,
-};
+// Contending-set size at which SolvePassiveWeighted switches from the
+// dense build to the chain-relay build. Below it the dense build's
+// per-pair scan beats the chain decomposition the relay build needs
+// first (small active-session Sigma solves all land here); at or above
+// it the O(n w) relay network wins (docs/sparse_network.md).
+inline constexpr size_t kSparseNetworkMinContending = 1024;
 
-// A built chain-relay network plus its shape diagnostics. Vertex layout:
-// 0 = source, 1 = sink, 2 + k = the k-th active point, then all relays
-// in [relay_begin, NumVertices()).
+// A built network plus its shape diagnostics. Vertex layout: 0 = source,
+// 1 = sink, 2 + k = the k-th active point, then (chain-relay build only)
+// all relays in [relay_begin, NumVertices()). The dense build has no
+// relays or chains and sets relay_begin = -1.
 struct SparseNetworkPlan {
   FlowNetwork network{0};
   int relay_begin = 2;
@@ -63,12 +59,6 @@ struct SparseNetworkPlan {
   size_t finite_edges = 0;
   size_t infinite_edges = 0;
 };
-
-// Number of points a d >= 3 active set may have before the Lemma 6
-// matching-based minimum decomposition (O(n^2.5)) would cost more than
-// the dense build it is meant to avoid; larger sets fall back to the
-// greedy decomposition (see ScalableChainDecomposition).
-inline constexpr size_t kSparseExactMatchingLimit = 2048;
 
 // Sentinel returned by HighestDominatedPosition when `point` dominates
 // no member.
@@ -85,10 +75,20 @@ size_t HighestDominatedPosition(const PointSet& points,
                                 const std::vector<size_t>& members,
                                 const Point& point);
 
-// Builds the sparse chain-relay network over the points of `set` at the
-// indices in `active` (the Lemma 15 contending subset, in increasing
-// order). Terminal edges carry the point weights; every other edge
-// carries `infinite_capacity`. The per-point relay wiring (the dominant
+// Builds the dense network over the points of `set` at the indices in
+// `active` (the Lemma 15 contending subset, in increasing order):
+// terminal edges carry the point weights, and each dominating
+// (label-0, label-1) pair gets an edge of `infinite_capacity`. The
+// O(n^2) pair scan shards rows across `parallel` workers with per-shard
+// buffers merged in shard order, so the edge list is bit-identical to
+// the serial scan at every thread count.
+SparseNetworkPlan BuildDenseDominanceNetwork(
+    const WeightedPointSet& set, const std::vector<size_t>& active,
+    double infinite_capacity, const ParallelOptions& parallel = {});
+
+// Builds the sparse chain-relay network over the same inputs. Terminal
+// edges carry the point weights; every other edge carries
+// `infinite_capacity`. The per-point relay wiring (the dominant
 // O(n w log n) part) shards across `parallel` workers with per-shard
 // buffers merged in shard order, so the edge list -- and hence the max-
 // flow traversal order and the extracted classifier -- is bit-identical

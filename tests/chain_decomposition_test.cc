@@ -116,6 +116,26 @@ TEST(GreedyChainDecompositionTest, OptimalInOneDimension) {
   EXPECT_EQ(GreedyChainDecomposition(points).NumChains(), 1u);
 }
 
+TEST(ScalableChainDecompositionTest, HighDimensionRoutesByMatchingLimit) {
+  Rng rng(23);
+  // Small d = 3 sets take the Lemma 6 matching path: exactly w chains.
+  for (int trial = 0; trial < 10; ++trial) {
+    const auto set = testing_util::RandomLabeledSet(rng, 40, 3);
+    EXPECT_EQ(ScalableChainDecomposition(set.points()).NumChains(),
+              MinimumChainDecomposition(set.points()).NumChains())
+        << "trial " << trial;
+  }
+  // One point past kSparseExactMatchingLimit the router falls back to
+  // first-fit greedy.
+  const auto large =
+      testing_util::RandomLabeledSet(rng, kSparseExactMatchingLimit + 1, 3);
+  const ChainDecomposition scalable =
+      ScalableChainDecomposition(large.points());
+  EXPECT_EQ(scalable.chains,
+            GreedyChainDecomposition(large.points()).chains);
+  EXPECT_TRUE(ValidateChainDecomposition(large.points(), scalable));
+}
+
 TEST(ValidateChainDecompositionTest, RejectsBadDecompositions) {
   const PointSet points({Point{0, 0}, Point{1, 1}});
   // Missing point.

@@ -200,14 +200,15 @@ TEST(FlowSolverTest, OptimalErrorOfEmptySetIsZero) {
   EXPECT_EQ(OptimalError(LabeledPointSet()), 0u);
 }
 
-TEST(FlowSolverTest, AutoThresholdBoundaryAtDefault1024) {
+TEST(FlowSolverTest, BuildThresholdBoundaryAtSparseNetworkMinContending) {
   // One label-1 point at the origin plus (k - 1) label-0 antichain
   // points that all dominate it: exactly k contending points, so the
-  // kAuto route flips from dense to sparse precisely when k reaches
-  // PassiveSolveOptions{}.sparse_auto_threshold (default 1024). kDense
-  // and kSparseChainRelay must ignore the threshold entirely, and all
-  // three builds must agree on the optimum.
-  for (const size_t k : {size_t{1023}, size_t{1024}, size_t{1025}}) {
+  // solver's build flips from dense to sparse precisely when k reaches
+  // kSparseNetworkMinContending. Whichever build it picks, the other
+  // build must reach the identical assignment.
+  for (const size_t k :
+       {kSparseNetworkMinContending - 1, kSparseNetworkMinContending,
+        kSparseNetworkMinContending + 1}) {
     WeightedPointSet set;
     set.Add(Point{0.0, 0.0}, 1, 1.0);
     for (size_t i = 0; i + 1 < k; ++i) {
@@ -215,28 +216,21 @@ TEST(FlowSolverTest, AutoThresholdBoundaryAtDefault1024) {
                     static_cast<double>(k - i)},
               0, 1.0);
     }
-    PassiveSolveOptions auto_build;
-    auto_build.network = PassiveNetworkBuild::kAuto;
-    const auto with_auto = SolvePassiveWeighted(set, auto_build);
-    EXPECT_EQ(with_auto.num_contending, k) << "k=" << k;
-    EXPECT_EQ(with_auto.used_sparse_network,
-              k >= auto_build.sparse_auto_threshold)
+    const auto routed = SolvePassiveWeighted(set);
+    EXPECT_EQ(routed.num_contending, k) << "k=" << k;
+    EXPECT_EQ(routed.used_sparse_network, k >= kSparseNetworkMinContending)
         << "k=" << k;
 
-    PassiveSolveOptions dense;
-    dense.network = PassiveNetworkBuild::kDense;
-    const auto with_dense = SolvePassiveWeighted(set, dense);
-    EXPECT_FALSE(with_dense.used_sparse_network) << "k=" << k;
-
-    PassiveSolveOptions sparse;
-    sparse.network = PassiveNetworkBuild::kSparseChainRelay;
-    const auto with_sparse = SolvePassiveWeighted(set, sparse);
-    EXPECT_TRUE(with_sparse.used_sparse_network) << "k=" << k;
+    const auto other = testing_util::SolvePassiveWith(
+        routed.used_sparse_network ? BuildDenseDominanceNetwork
+                                   : BuildSparseChainRelayNetwork,
+        set);
+    EXPECT_NE(other.used_sparse_network, routed.used_sparse_network)
+        << "k=" << k;
 
     // The lone label-1 point loses to the antichain above it.
-    EXPECT_DOUBLE_EQ(with_auto.optimal_weighted_error, 1.0);
-    EXPECT_EQ(with_dense.assignment, with_auto.assignment);
-    EXPECT_EQ(with_sparse.assignment, with_auto.assignment);
+    EXPECT_DOUBLE_EQ(routed.optimal_weighted_error, 1.0);
+    EXPECT_EQ(other.assignment, routed.assignment) << "k=" << k;
   }
 }
 

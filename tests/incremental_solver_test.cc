@@ -22,28 +22,23 @@
 namespace monoclass {
 namespace {
 
-// Cold reference on the solver's current snapshot.
-PassiveSolveResult ColdSolve(const IncrementalPassiveSolver& solver,
-                             PassiveNetworkBuild network =
-                                 PassiveNetworkBuild::kAuto) {
-  PassiveSolveOptions options;
-  options.network = network;
-  return SolvePassiveWeighted(solver.Snapshot(), options);
-}
-
+// Compares the warm solution with a cold solve of the solver's current
+// snapshot: SolvePassiveWeighted, or the network `build` makes when one
+// is given.
 void ExpectMatchesCold(IncrementalPassiveSolver& solver,
                        const std::string& context,
-                       PassiveNetworkBuild network =
-                           PassiveNetworkBuild::kAuto) {
-  const PassiveSolveResult cold = ColdSolve(solver, network);
+                       testing_util::NetworkBuilder build = nullptr) {
+  const WeightedPointSet snapshot = solver.Snapshot();
+  const PassiveSolveResult cold =
+      build == nullptr ? SolvePassiveWeighted(snapshot)
+                       : testing_util::SolvePassiveWith(build, snapshot);
   const PassiveSolveResult& warm = solver.Solve();
   ASSERT_EQ(warm.assignment, cold.assignment) << context;
   EXPECT_EQ(warm.optimal_weighted_error, cold.optimal_weighted_error)
       << context;
   EXPECT_EQ(warm.num_contending, cold.num_contending) << context;
-  const PointSet points = solver.Snapshot().points();
-  EXPECT_EQ(warm.classifier.ClassifySet(points),
-            cold.classifier.ClassifySet(points))
+  EXPECT_EQ(warm.classifier.ClassifySet(snapshot.points()),
+            cold.classifier.ClassifySet(snapshot.points()))
       << context;
 }
 
@@ -118,7 +113,7 @@ TEST(IncrementalSolverTest, MatchesColdSparseBuildToo) {
                      rng.Bernoulli(0.5) ? 1 : 0);
     }
     ExpectMatchesCold(solver, "step=" + std::to_string(step),
-                      PassiveNetworkBuild::kSparseChainRelay);
+                      BuildSparseChainRelayNetwork);
   }
 }
 

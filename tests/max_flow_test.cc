@@ -1,7 +1,7 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Unit and property tests for the four max-flow solvers and the min-cut
+// Unit and property tests for the two max-flow solvers and the min-cut
 // extraction: hand-computed instances, cross-solver agreement, agreement
 // with a brute-force minimum cut (max-flow min-cut theorem, Lemma 7), and
 // flow-validity audits.
@@ -233,7 +233,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Cross-solver stress: all four algorithms must agree on medium-size
+// Cross-solver stress: both algorithms must agree on medium-size
 // random networks (too big for the brute-force cut, so Dinic serves as
 // the reference and the others must match it exactly).
 TEST(MaxFlowCrossSolverTest, AllSolversAgreeOnMediumGraphs) {
@@ -260,7 +260,7 @@ TEST(MaxFlowCrossSolverTest, AllSolversAgreeOnMediumGraphs) {
 
 TEST(MaxFlowCrossSolverTest, AgreeOnNearlyDisconnectedGraphs) {
   // Sparse graphs where the sink is often unreachable exercise the
-  // zero-flow and gap-heuristic paths.
+  // zero-flow paths.
   Rng rng(0xdead);
   for (int trial = 0; trial < 20; ++trial) {
     const FlowInstance instance = RandomFlowInstance(rng, 40, 30, 10.0);
@@ -279,7 +279,7 @@ TEST(MaxFlowCrossSolverTest, AgreeOnNearlyDisconnectedGraphs) {
 }
 
 TEST(MaxFlowFactoryTest, AllAlgorithmsEnumerated) {
-  EXPECT_EQ(AllMaxFlowAlgorithms().size(), 4u);
+  EXPECT_EQ(AllMaxFlowAlgorithms().size(), 2u);
 }
 
 TEST(MaxFlowFactoryTest, NamesAreDistinct) {

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "active/oracle.h"
+#include "core/chain_decomposition.h"
+#include "core/chain_decomposition_2d.h"
 #include "core/paper_example.h"
 #include "data/synthetic.h"
 #include "passive/flow_solver.h"
@@ -127,7 +129,8 @@ TEST(MultiDActiveTest, Fast2DChainsMatchLemma6Width) {
   InMemoryOracle oracle(instance.data);
   ActiveSolveOptions options;
   options.sampling = ActiveSamplingParams::Practical(0.5, 0.05);
-  options.use_fast_2d_chains = true;
+  options.precomputed_chains =
+      MinimumChainDecomposition2D(instance.data.points());
   const auto result =
       SolveActiveMultiD(instance.data.points(), oracle, options);
   EXPECT_EQ(result.num_chains, 5u)
@@ -152,7 +155,8 @@ TEST(MultiDActiveTest, GreedyChainsUseAtLeastWidthChains) {
 
   InMemoryOracle oracle_greedy(instance.data);
   ActiveSolveOptions greedy = minimum;
-  greedy.use_greedy_chains = true;
+  greedy.precomputed_chains =
+      GreedyChainDecomposition(instance.data.points());
   const auto result_greedy =
       SolveActiveMultiD(instance.data.points(), oracle_greedy, greedy);
 

@@ -74,6 +74,24 @@ TEST_F(ServerTest, PassiveSolveMatchesLocalSolve) {
   EXPECT_EQ(remote.classifier.generators(), local.classifier.generators());
 }
 
+TEST_F(ServerTest, UnknownPassiveAlgorithmIsAnError) {
+  const LabeledPointSet instance = MakeInstance(20, 6);
+  PassiveSolveRequest request;
+  request.points = instance.points();
+  request.labels = instance.labels();
+  request.algorithm = 7;
+  try {
+    client_.PassiveSolve(request);
+    FAIL() << "expected WireError";
+  } catch (const WireError& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown passive algorithm 7"),
+              std::string::npos)
+        << error.what();
+  }
+  // The error is a response, not a connection teardown.
+  EXPECT_EQ(client_.Ping(2), 2u);
+}
+
 TEST_F(ServerTest, FullSessionOverTheWireMatchesLocalActiveSolve) {
   const uint64_t seed = 9;
   const LabeledPointSet instance = MakeInstance(64, 21);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -25,16 +26,14 @@
 namespace monoclass {
 namespace {
 
-PassiveSolveOptions DenseOptions() {
-  PassiveSolveOptions options;
-  options.network = PassiveNetworkBuild::kDense;
-  return options;
+using testing_util::SolvePassiveWith;
+
+PassiveSolveResult SolveDense(const WeightedPointSet& set) {
+  return SolvePassiveWith(BuildDenseDominanceNetwork, set);
 }
 
-PassiveSolveOptions SparseOptions() {
-  PassiveSolveOptions options;
-  options.network = PassiveNetworkBuild::kSparseChainRelay;
-  return options;
+PassiveSolveResult SolveSparse(const WeightedPointSet& set) {
+  return SolvePassiveWith(BuildSparseChainRelayNetwork, set);
 }
 
 TEST(SparseNetworkTest, BitIdenticalAcrossDimensionsBackendsAndThreads) {
@@ -45,15 +44,14 @@ TEST(SparseNetworkTest, BitIdenticalAcrossDimensionsBackendsAndThreads) {
       const auto set = testing_util::RandomWeightedSet(
           rng, n, d, rng.UniformDoubleInRange(0.25, 0.75));
       for (const MaxFlowAlgorithm algorithm : AllMaxFlowAlgorithms()) {
-        PassiveSolveOptions dense = DenseOptions();
-        dense.algorithm = algorithm;
-        const PassiveSolveResult reference = SolvePassiveWeighted(set, dense);
+        const PassiveSolveResult reference =
+            SolvePassiveWith(BuildDenseDominanceNetwork, set, algorithm);
         ASSERT_FALSE(reference.used_sparse_network);
         for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-          PassiveSolveOptions sparse = SparseOptions();
-          sparse.algorithm = algorithm;
-          sparse.parallel.threads = threads;
-          const PassiveSolveResult result = SolvePassiveWeighted(set, sparse);
+          ParallelOptions parallel;
+          parallel.threads = threads;
+          const PassiveSolveResult result = SolvePassiveWith(
+              BuildSparseChainRelayNetwork, set, algorithm, parallel);
           ASSERT_TRUE(result.used_sparse_network);
           EXPECT_EQ(result.assignment, reference.assignment)
               << "d=" << d << " trial=" << trial << " threads=" << threads;
@@ -81,8 +79,8 @@ TEST(SparseNetworkTest, IdenticalOnDuplicateHeavyGrids) {
               rng.Bernoulli(0.5) ? 1 : 0,
               static_cast<double>(1 + rng.UniformInt(4)));
     }
-    const auto dense = SolvePassiveWeighted(set, DenseOptions());
-    const auto sparse = SolvePassiveWeighted(set, SparseOptions());
+    const auto dense = SolveDense(set);
+    const auto sparse = SolveSparse(set);
     EXPECT_EQ(sparse.assignment, dense.assignment) << "trial " << trial;
     EXPECT_DOUBLE_EQ(sparse.optimal_weighted_error,
                      dense.optimal_weighted_error);
@@ -95,11 +93,10 @@ TEST(SparseNetworkTest, PlantedInstanceMatchesDenseAtScale) {
   options.dimension = 2;
   options.noise_flips = 200;
   options.seed = 11;
-  const PlantedInstance instance = GeneratePlanted(options);
-  const auto dense =
-      SolvePassiveUnweighted(instance.data, DenseOptions());
-  const auto sparse =
-      SolvePassiveUnweighted(instance.data, SparseOptions());
+  const WeightedPointSet set =
+      WeightedPointSet::UnitWeights(GeneratePlanted(options).data);
+  const auto dense = SolveDense(set);
+  const auto sparse = SolveSparse(set);
   EXPECT_EQ(sparse.assignment, dense.assignment);
   EXPECT_DOUBLE_EQ(sparse.optimal_weighted_error,
                    dense.optimal_weighted_error);
@@ -192,28 +189,32 @@ TEST(SparseNetworkTest, BuildIsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(SparseNetworkTest, AutoThresholdSelectsBuilder) {
-  PlantedOptions planted;
-  planted.num_points = 400;
-  planted.dimension = 2;
-  planted.noise_flips = 120;
-  planted.seed = 7;
-  const PlantedInstance instance = GeneratePlanted(planted);
-
-  PassiveSolveOptions below;
-  below.sparse_auto_threshold = 1000000;
-  EXPECT_FALSE(
-      SolvePassiveUnweighted(instance.data, below).used_sparse_network);
-
-  PassiveSolveOptions above;
-  above.sparse_auto_threshold = 1;
-  const auto sparse = SolvePassiveUnweighted(instance.data, above);
-  EXPECT_TRUE(sparse.used_sparse_network);
-  EXPECT_GT(sparse.network_relays, 0u);
-  EXPECT_GT(sparse.network_chains, 0u);
-  EXPECT_EQ(sparse.optimal_weighted_error,
-            SolvePassiveUnweighted(instance.data, below)
-                .optimal_weighted_error);
+TEST(SparseNetworkTest, ThresholdSelectsBuilder) {
+  // A small planted instance lands below kSparseNetworkMinContending and
+  // a large noisy one above it; the solver must pick the build by that
+  // size, and the other build must reach the identical assignment.
+  for (const auto& [n, flips] : {std::pair<size_t, size_t>{400, 120},
+                                 std::pair<size_t, size_t>{3000, 1500}}) {
+    PlantedOptions planted;
+    planted.num_points = n;
+    planted.dimension = 2;
+    planted.noise_flips = flips;
+    planted.seed = 7;
+    const WeightedPointSet set =
+        WeightedPointSet::UnitWeights(GeneratePlanted(planted).data);
+    const auto routed = SolvePassiveWeighted(set);
+    const bool large = routed.num_contending >= kSparseNetworkMinContending;
+    EXPECT_EQ(large, n == 3000) << "n=" << n;
+    EXPECT_EQ(routed.used_sparse_network, large) << "n=" << n;
+    if (large) {
+      EXPECT_GT(routed.network_relays, 0u);
+      EXPECT_GT(routed.network_chains, 0u);
+    }
+    const auto other = large ? SolveDense(set) : SolveSparse(set);
+    EXPECT_NE(other.used_sparse_network, routed.used_sparse_network);
+    EXPECT_EQ(other.assignment, routed.assignment) << "n=" << n;
+    EXPECT_EQ(other.optimal_weighted_error, routed.optimal_weighted_error);
+  }
 }
 
 TEST(SparseNetworkTest, EmptyAndConflictFreeInputs) {
@@ -222,7 +223,7 @@ TEST(SparseNetworkTest, EmptyAndConflictFreeInputs) {
   LabeledPointSet monotone;
   monotone.Add(Point{0, 0}, 0);
   monotone.Add(Point{1, 1}, 1);
-  const auto result = SolvePassiveUnweighted(monotone, SparseOptions());
+  const auto result = SolveSparse(WeightedPointSet::UnitWeights(monotone));
   EXPECT_TRUE(result.used_sparse_network);
   EXPECT_DOUBLE_EQ(result.optimal_weighted_error, 0.0);
   EXPECT_EQ(result.network_relays, 0u);
@@ -231,7 +232,7 @@ TEST(SparseNetworkTest, EmptyAndConflictFreeInputs) {
   WeightedPointSet pair;
   pair.Add(Point{1, 1}, 1, 3.0);
   pair.Add(Point{1, 1}, 0, 1.0);
-  const auto dup = SolvePassiveWeighted(pair, SparseOptions());
+  const auto dup = SolveSparse(pair);
   EXPECT_DOUBLE_EQ(dup.optimal_weighted_error, 1.0);
   EXPECT_EQ(dup.assignment[0], 1);
   EXPECT_EQ(dup.assignment[1], 1);
@@ -286,8 +287,8 @@ TEST(SparseNetworkTest, AllDuplicateMultisetMixedLabels) {
       ones += label;
       set.Add(Point{2.0, 3.0}, label, weight);
     }
-    const auto sparse = SolvePassiveWeighted(set, SparseOptions());
-    const auto dense = SolvePassiveWeighted(set, DenseOptions());
+    const auto sparse = SolveSparse(set);
+    const auto dense = SolveDense(set);
     EXPECT_EQ(sparse.assignment, dense.assignment) << "trial " << trial;
     EXPECT_EQ(sparse.num_contending, n);
     EXPECT_EQ(sparse.network_chains, 1u);
@@ -305,7 +306,7 @@ TEST(SparseNetworkTest, AllDuplicateMultisetSingleLabel) {
     for (int i = 0; i < 6; ++i) {
       set.Add(Point{1.5, 0.5}, label, 2.0);
     }
-    const auto result = SolvePassiveWeighted(set, SparseOptions());
+    const auto result = SolveSparse(set);
     EXPECT_DOUBLE_EQ(result.optimal_weighted_error, 0.0);
     EXPECT_EQ(result.num_contending, 0u);
     EXPECT_EQ(result.network_relays, 0u);

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "passive/contending.h"
+
 namespace monoclass {
 namespace testing_util {
 
@@ -124,6 +126,17 @@ WeightedPointSet RandomWeightedSet(Rng& rng, size_t n, size_t d,
             rng.UniformDoubleInRange(0.5, max_weight));
   }
   return set;
+}
+
+PassiveSolveResult SolvePassiveWith(NetworkBuilder build,
+                                    const WeightedPointSet& set,
+                                    MaxFlowAlgorithm algorithm,
+                                    const ParallelOptions& parallel) {
+  const std::vector<size_t> active =
+      ComputeContending(set.points(), set.labels(), parallel).contending;
+  return SolvePassiveOnNetwork(
+      set, active, build(set, active, PassiveInfiniteCapacity(set), parallel),
+      algorithm);
 }
 
 }  // namespace testing_util

@@ -13,6 +13,10 @@
 
 #include "core/dataset.h"
 #include "graph/graph.h"
+#include "graph/max_flow.h"
+#include "passive/flow_solver.h"
+#include "passive/sparse_network.h"
+#include "util/concurrency.h"
 #include "util/random.h"
 
 namespace monoclass {
@@ -74,6 +78,19 @@ LabeledPointSet RandomLabeledSet(Rng& rng, size_t n, size_t d,
 WeightedPointSet RandomWeightedSet(Rng& rng, size_t n, size_t d,
                                    double positive_rate = 0.5,
                                    double max_weight = 5.0);
+
+// BuildDenseDominanceNetwork or BuildSparseChainRelayNetwork (one
+// signature).
+using NetworkBuilder = decltype(&BuildDenseDominanceNetwork);
+
+// Exact passive solve of `set` through the network `build` makes over
+// the contending points, whichever build SolvePassiveWeighted would pick
+// at this size -- the way to pin one builder and diff it against the
+// other.
+PassiveSolveResult SolvePassiveWith(
+    NetworkBuilder build, const WeightedPointSet& set,
+    MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic,
+    const ParallelOptions& parallel = {});
 
 }  // namespace testing_util
 }  // namespace monoclass

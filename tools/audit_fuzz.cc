@@ -7,7 +7,7 @@
 // planted classifiers with noise, or staircase chain instances) and
 // cross-validates the solver stack:
 //
-//   * all four max-flow backends must agree on the optimal weighted error,
+//   * both max-flow backends must agree on the optimal weighted error,
 //     and each solved network must pass AuditMinCut (Lemmas 7/8/18);
 //   * the flow solver must match the exponential brute-force solver on
 //     small inputs;
@@ -154,17 +154,24 @@ void FuzzPassiveCrossSolver(Rng& rng) {
   const bool unit_weights = rng.Bernoulli(0.3);
   const WeightedPointSet set = RandomWeightedSet(rng, n, d, unit_weights);
 
+  const std::vector<size_t> contending =
+      ComputeContending(set.points(), set.labels()).contending;
+  std::vector<size_t> all_points(n);
+  for (size_t i = 0; i < n; ++i) all_points[i] = i;
   double reference_error = -1.0;
   for (const MaxFlowAlgorithm algorithm : AllMaxFlowAlgorithms()) {
-    PassiveSolveOptions options;
-    options.algorithm = algorithm;
-    options.reduce_to_contending = rng.Bernoulli(0.8);
-    // Half the solves route the dominance structure through chain
-    // relays; with MONOCLASS_AUDIT on, each one re-verifies relay
-    // purity and Lemmas 7/8/18 on the relay network.
-    options.network = rng.Bernoulli(0.5) ? PassiveNetworkBuild::kDense
-                                         : PassiveNetworkBuild::kSparseChainRelay;
-    const PassiveSolveResult result = SolvePassiveWeighted(set, options);
+    // Most solves build over the contending points, the rest over all
+    // points (Lemma 15 makes both exact). Half route the dominance
+    // structure through chain relays; with MONOCLASS_AUDIT on, each one
+    // re-verifies relay purity and Lemmas 7/8/18 on the relay network.
+    const std::vector<size_t>& active =
+        rng.Bernoulli(0.8) ? contending : all_points;
+    const fuzz::NetworkBuilder build = rng.Bernoulli(0.5)
+                                           ? &BuildDenseDominanceNetwork
+                                           : &BuildSparseChainRelayNetwork;
+    const PassiveSolveResult result = SolvePassiveOnNetwork(
+        set, active, build(set, active, PassiveInfiniteCapacity(set), {}),
+        algorithm);
     const std::string context =
         "passive/" + CreateMaxFlowSolver(algorithm)->Name() +
         (result.used_sparse_network ? "/sparse" : "/dense");
@@ -186,13 +193,10 @@ void FuzzPassiveCrossSolver(Rng& rng) {
   // The sparse chain-relay network must be fully transparent: not just
   // the same optimum, the same optimal assignment bit for bit.
   {
-    PassiveSolveOptions dense;
-    dense.network = PassiveNetworkBuild::kDense;
-    PassiveSolveOptions sparse;
-    sparse.network = PassiveNetworkBuild::kSparseChainRelay;
-    sparse.parallel.threads = 1 + rng.UniformInt(4);
-    const PassiveSolveResult dense_result = SolvePassiveWeighted(set, dense);
-    const PassiveSolveResult sparse_result = SolvePassiveWeighted(set, sparse);
+    const PassiveSolveResult dense_result =
+        fuzz::SolvePassiveWith(BuildDenseDominanceNetwork, set);
+    const PassiveSolveResult sparse_result = fuzz::SolvePassiveWith(
+        BuildSparseChainRelayNetwork, set, 1 + rng.UniformInt(4));
     Expect(dense_result.assignment == sparse_result.assignment,
            "passive/sparse_equivalence",
            "sparse chain-relay assignment diverged from the dense build");
@@ -203,6 +207,9 @@ void FuzzPassiveCrossSolver(Rng& rng) {
                std::to_string(sparse_result.optimal_weighted_error) +
                " != dense optimum " +
                std::to_string(dense_result.optimal_weighted_error));
+    Expect(SolvePassiveWeighted(set).assignment == dense_result.assignment,
+           "passive/solver",
+           "SolvePassiveWeighted assignment diverged from the dense build");
   }
 
   // Exponential ground truth on small instances.
@@ -266,9 +273,11 @@ void FuzzActiveSolve(Rng& rng) {
   if (path == 0) {
     options.precomputed_chains = instance.chains;
   } else if (path == 1) {
-    options.use_greedy_chains = true;
+    options.precomputed_chains =
+        GreedyChainDecomposition(instance.data.points());
   } else if (instance.data.dimension() == 2) {
-    options.use_fast_2d_chains = true;
+    options.precomputed_chains =
+        MinimumChainDecomposition2D(instance.data.points());
   }
   const ActiveSolveResult result =
       SolveActiveMultiD(instance.data.points(), oracle, options);

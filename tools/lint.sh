@@ -11,7 +11,7 @@
 #
 # Usage: lint.sh [REPO_ROOT]
 #   REPO_ROOT defaults to the repository containing this script. Pass a
-#   different tree to lint a staging copy (lint_test.sh does this).
+#   different tree to lint a staging copy (mc_lint_test.sh does this).
 #
 # Optional: lint.sh --tidy additionally runs clang-tidy over src/ when
 # clang-tidy and build/compile_commands.json are available.
@@ -21,7 +21,7 @@
 #   2. the newest build*/tools/mc_lint under the repo that owns this
 #      script;
 #   3. a cached on-demand compile of tools/mc_lint.cc (keyed by content
-#      hash, so repeated lint_test.sh invocations compile once).
+#      hash, so repeated invocations compile once).
 set -u
 
 run_tidy=0

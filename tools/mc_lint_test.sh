@@ -5,10 +5,8 @@
 # plausible location -- plus negative cases proving the tokenizer does
 # not fire on comments, strings, or sanctioned files.
 #
-# Complements tools/lint_test.sh, which checks the legacy diagnostic
-# fragments through the lint.sh wrapper; this suite pins the rule ids
-# and the new structural rules (MC007 determinism, MC008 obs naming,
-# MC009 audit coverage).
+# It also checks the tools/lint.sh wrapper's exit status on a clean and
+# a violating tree.
 set -u
 
 script_dir="$(cd "$(dirname "$0")" && pwd)"
@@ -127,6 +125,15 @@ sed -i 's/int kNothing = 0;/inline double Now() { return std::chrono::steady_clo
 sed -i 's|#include "util/good.h"|#include "util/good.h"\n#include "util/timer.h"|' \
   "$tmp/tree/src/monoclass.h"
 expect_clean "steady_clock::now() inside util/timer.h"
+
+make_clean_tree
+mkdir -p "$tmp/tree/src/obs"
+header_boilerplate MONOCLASS_OBS_TRACE_H_ > "$tmp/tree/src/obs/trace.h"
+sed -i 's/int kNothing = 0;/inline double Now() { return std::chrono::steady_clock::now().time_since_epoch().count(); }/' \
+  "$tmp/tree/src/obs/trace.h"
+sed -i 's|#include "util/good.h"|#include "util/good.h"\n#include "obs/trace.h"|' \
+  "$tmp/tree/src/monoclass.h"
+expect_clean "steady_clock::now() inside src/obs/"
 
 # --- MC006: concurrency discipline --------------------------------------
 make_clean_tree
@@ -281,7 +288,7 @@ sed -i 's/int kNothing = 0;/inline void Op() { MC_COUNTER("maxflow..pushes", 1);
 expect_rule "an MC_COUNTER name with an empty segment" MC008
 
 make_clean_tree
-sed -i 's/int kNothing = 0;/inline void Op() { MC_SPAN("passive\/solve"); MC_COUNTER("maxflow.pr.pushes", 1); }/' \
+sed -i 's/int kNothing = 0;/inline void Op() { MC_SPAN("passive\/solve"); MC_COUNTER("maxflow.dinic.phases", 1); }/' \
   "$tmp/tree/src/util/good.h"
 expect_clean "conventional span and counter names"
 
@@ -364,6 +371,20 @@ printf '\nvoid Check(int x) { assert(x > 0); }\n' >> "$tmp/tree/src/util/good.h"
 out="$("$mc_lint" "$tmp/tree" 2>&1)"
 if ! printf '%s' "$out" | grep -qE '^src/util/good\.h:[0-9]+: \[MC003\] '; then
   fail "diagnostic is not in file:line: [rule] format:"$'\n'"$out"
+fi
+
+# --- the lint.sh wrapper ------------------------------------------------
+# CI and the lint_check ctest go through lint.sh, so its exit status must
+# follow mc_lint's verdict.
+make_clean_tree
+if ! out="$(MC_LINT="$mc_lint" bash "$script_dir/lint.sh" "$tmp/tree" 2>&1)"; then
+  fail "lint.sh failed a clean tree:"$'\n'"$out"
+fi
+printf '\nvoid Check(int x) { assert(x > 0); }\n' >> "$tmp/tree/src/util/good.h"
+if out="$(MC_LINT="$mc_lint" bash "$script_dir/lint.sh" "$tmp/tree" 2>&1)"; then
+  fail "lint.sh exited 0 on a violating tree"
+elif ! printf '%s' "$out" | grep -qF "[MC003]"; then
+  fail "lint.sh did not relay the mc_lint diagnostic, got:"$'\n'"$out"
 fi
 
 # --- the real repository passes -----------------------------------------
