@@ -39,7 +39,7 @@ void Run() {
       ActiveSolveOptions solve_options;
       solve_options.sampling = ActiveSamplingParams::Practical(1.0, 0.05);
       solve_options.precomputed_chains = instance.chains;
-      obs::SpanTimer timer("bench/active_solve");
+      obs::Span timer("bench/active_solve");
       const auto result =
           SolveActiveMultiD(instance.data.points(), oracle, solve_options);
       const double total_ms = timer.ElapsedMillis();
@@ -67,7 +67,7 @@ void Run() {
       InMemoryOracle oracle(instance.data);
       ActiveSolveOptions solve_options;
       solve_options.sampling = ActiveSamplingParams::Practical(1.0, 0.05);
-      obs::SpanTimer timer("bench/active_solve");
+      obs::Span timer("bench/active_solve");
       const auto result =
           SolveActiveMultiD(instance.data.points(), oracle, solve_options);
       table.AddRowValues(n, 2, result.num_chains, result.probes,
@@ -91,7 +91,7 @@ void Run() {
       ActiveSolveOptions solve_options;
       solve_options.sampling = ActiveSamplingParams::Practical(eps, 0.05);
       solve_options.precomputed_chains = instance.chains;
-      obs::SpanTimer timer("bench/active_solve");
+      obs::Span timer("bench/active_solve");
       const auto result =
           SolveActiveMultiD(instance.data.points(), oracle, solve_options);
       table.AddRowValues(
@@ -124,7 +124,7 @@ void Run() {
 
     solve_options.parallel.threads = 1;
     InMemoryOracle serial_oracle(instance.data);
-    obs::SpanTimer serial_timer("bench/active_solve_serial");
+    obs::Span serial_timer("bench/active_solve_serial");
     const auto serial =
         SolveActiveMultiD(instance.data.points(), serial_oracle,
                           solve_options);
@@ -141,7 +141,7 @@ void Run() {
     for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
       solve_options.parallel.threads = threads;
       InMemoryOracle oracle(instance.data);
-      obs::SpanTimer timer("bench/active_solve_parallel");
+      obs::Span timer("bench/active_solve_parallel");
       const auto result =
           SolveActiveMultiD(instance.data.points(), oracle, solve_options);
       const double ms = timer.ElapsedMillis();

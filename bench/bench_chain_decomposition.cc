@@ -33,7 +33,7 @@ void Run() {
       options.chain_length = 64;
       options.seed = w;
       const ChainInstance instance = GenerateChainInstance(options);
-      obs::SpanTimer timer("bench/min_chain_decomposition");
+      obs::Span timer("bench/min_chain_decomposition");
       const auto minimum =
           MinimumChainDecomposition(instance.data.points());
       const double ms = timer.ElapsedMillis();
@@ -54,7 +54,7 @@ void Run() {
       options.num_points = n;
       options.seed = n + 7;
       const PlantedInstance instance = GeneratePlanted(options);
-      obs::SpanTimer timer("bench/min_chain_decomposition");
+      obs::Span timer("bench/min_chain_decomposition");
       const auto minimum =
           MinimumChainDecomposition(instance.data.points());
       const double ms = timer.ElapsedMillis();
@@ -76,14 +76,14 @@ void Run() {
       options.num_points = n;
       options.seed = n + 13;
       const PlantedInstance instance = GeneratePlanted(options);
-      obs::SpanTimer fast_timer("bench/decomposition_2d");
+      obs::Span fast_timer("bench/decomposition_2d");
       const auto fast =
           MinimumChainDecomposition2D(instance.data.points());
       const double fast_ms = fast_timer.ElapsedMillis();
       double lemma6_ms = -1.0;
       size_t lemma6_chains = 0;
       if (n <= 4096) {  // the general path is quadratic; skip at 16k
-        obs::SpanTimer lemma6_timer("bench/decomposition_lemma6");
+        obs::Span lemma6_timer("bench/decomposition_lemma6");
         lemma6_chains =
             MinimumChainDecomposition(instance.data.points()).NumChains();
         lemma6_ms = lemma6_timer.ElapsedMillis();

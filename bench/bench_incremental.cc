@@ -62,11 +62,11 @@ void Run(bool ci) {
   Rng rng(seed + 1);
 
   bench::PrintSection("bulk load (one cold solve at n)");
-  obs::SpanTimer load_timer("bench/bulk_load");
+  obs::Span load_timer("bench/bulk_load");
   IncrementalPassiveSolver solver(
       WeightedPointSet::UnitWeights(instance.data));
   const PassiveSolveResult& loaded = solver.Solve();
-  const double load_seconds = load_timer.ElapsedMillis() * 1e-3;
+  const double load_seconds = load_timer.ElapsedSeconds();
   {
     TextTable table({"n", "contending", "chains", "relays", "k*", "load-s"});
     table.AddRowValues(
@@ -82,9 +82,9 @@ void Run(bool ci) {
   double cold_seconds = 0.0;
   {
     const WeightedPointSet snapshot = solver.Snapshot();
-    obs::SpanTimer timer("bench/cold_solve");
+    obs::Span timer("bench/cold_solve");
     const PassiveSolveResult cold = SolvePassiveWeighted(snapshot);
-    cold_seconds = timer.ElapsedMillis() * 1e-3;
+    cold_seconds = timer.ElapsedSeconds();
     TextTable table({"cold-solve-s", "cold-solves/s", "k*"});
     table.AddRowValues(
         FormatDouble(cold_seconds, 3), FormatDouble(1.0 / cold_seconds, 4),
@@ -100,7 +100,7 @@ void Run(bool ci) {
   live.reserve(n + num_deltas);
   for (size_t id_ = 0; id_ < n; ++id_) live.push_back(id_);
   const size_t extract_every = std::max<size_t>(1, num_deltas / 10);
-  obs::SpanTimer stream_timer("bench/delta_stream");
+  obs::Span stream_timer("bench/delta_stream");
   for (size_t i = 0; i < num_deltas; ++i) {
     const uint64_t op = rng.UniformInt(10);
     if (op < 4 || live.empty()) {
@@ -121,7 +121,7 @@ void Run(bool ci) {
     }
     if ((i + 1) % extract_every == 0) solver.Solve();
   }
-  const double stream_seconds = stream_timer.ElapsedMillis() * 1e-3;
+  const double stream_seconds = stream_timer.ElapsedSeconds();
   const double updates_per_sec =
       static_cast<double>(num_deltas) / stream_seconds;
   const double cold_per_sec = 1.0 / cold_seconds;
@@ -193,7 +193,6 @@ void Run(bool ci) {
                        stats.rebuilds);
     bench::PrintTable(table);
   }
-  bench::BenchReport::Global().Finish();
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ void Run() {
       for (const auto algorithm : AllMaxFlowAlgorithms()) {
         FlowNetwork network = BuildClassificationNetwork(instance.data);
         const auto solver = CreateMaxFlowSolver(algorithm);
-        obs::SpanTimer timer("bench/classification_solve");
+        obs::Span timer("bench/classification_solve");
         const double flow = solver->Solve(network, 0, 1);
         table.AddRowValues(n, solver->Name(), FormatDouble(flow, 6),
                            FormatDouble(timer.ElapsedMillis(), 4));
@@ -102,7 +102,7 @@ void Run() {
         FlowNetwork network = reference;  // copy with fresh residuals
         network.ResetFlow();
         const auto solver = CreateMaxFlowSolver(algorithm);
-        obs::SpanTimer timer("bench/layered_solve");
+        obs::Span timer("bench/layered_solve");
         const double flow = solver->Solve(network, source, sink);
         table.AddRowValues(width, solver->Name(), FormatDouble(flow, 6),
                            FormatDouble(timer.ElapsedMillis(), 4));

@@ -49,7 +49,7 @@ void Run() {
       options.noise_flips = n / 100;
       options.seed = n;
       const PlantedInstance instance = GeneratePlanted(options);
-      obs::SpanTimer timer("bench/solve");
+      obs::Span timer("bench/solve");
       const PassiveSolveResult result =
           SolvePassiveUnweighted(instance.data);
       const double ms = timer.ElapsedMillis();
@@ -75,7 +75,7 @@ void Run() {
       options.noise_flips = 20;
       options.seed = 17 + d;
       const PlantedInstance instance = GeneratePlanted(options);
-      obs::SpanTimer timer("bench/solve");
+      obs::Span timer("bench/solve");
       const PassiveSolveResult result =
           SolvePassiveUnweighted(instance.data);
       table.AddRowValues(
@@ -101,10 +101,10 @@ void Run() {
       on.reduce_to_contending = true;
       PassiveSolveOptions off;
       off.reduce_to_contending = false;
-      obs::SpanTimer timer_on("bench/solve_contending_on");
+      obs::Span timer_on("bench/solve_contending_on");
       const auto result_on = SolvePassiveUnweighted(instance.data, on);
       const double ms_on = timer_on.ElapsedMillis();
-      obs::SpanTimer timer_off("bench/solve_contending_off");
+      obs::Span timer_off("bench/solve_contending_off");
       const auto result_off = SolvePassiveUnweighted(instance.data, off);
       const double ms_off = timer_off.ElapsedMillis();
       table.AddRowValues(n, result_on.network_vertices,
@@ -135,11 +135,11 @@ void Run() {
       options.seed = 5 * n;
       const WeightedPointSet set =
           WeightedPointSet::UnitWeights(GeneratePlanted(options).data);
-      obs::SpanTimer dense_timer("bench/solve_dense");
+      obs::Span dense_timer("bench/solve_dense");
       const auto dense_result =
           SolvePassiveWith(BuildDenseDominanceNetwork, set);
       const double dense_ms = dense_timer.ElapsedMillis();
-      obs::SpanTimer sparse_timer("bench/solve_sparse");
+      obs::Span sparse_timer("bench/solve_sparse");
       const auto sparse_result =
           SolvePassiveWith(BuildSparseChainRelayNetwork, set);
       const double sparse_ms = sparse_timer.ElapsedMillis();
@@ -180,11 +180,11 @@ void Run() {
         WeightedPointSet::UnitWeights(instance.data);
 
     // ~20000 contending points: the solver takes the chain-relay build.
-    obs::SpanTimer sparse_timer("bench/solve_sparse_20k");
+    obs::Span sparse_timer("bench/solve_sparse_20k");
     const auto result = SolvePassiveWeighted(weighted);
     const double sparse_ms = sparse_timer.ElapsedMillis();
 
-    obs::SpanTimer count_timer("bench/count_dense_pairs");
+    obs::Span count_timer("bench/count_dense_pairs");
     const auto active =
         ComputeContending(weighted.points(), weighted.labels()).contending;
     const size_t shards = std::max<size_t>(1, ParallelOptions{}.Resolve());
@@ -236,11 +236,11 @@ void Run() {
       const PlantedInstance instance = GeneratePlanted(options);
       const WeightedPointSet weighted =
           WeightedPointSet::UnitWeights(instance.data);
-      obs::SpanTimer flow_timer("bench/flow_solver");
+      obs::Span flow_timer("bench/flow_solver");
       const double flow =
           SolvePassiveWeighted(weighted).optimal_weighted_error;
       const double flow_ms = flow_timer.ElapsedMillis();
-      obs::SpanTimer staircase_timer("bench/staircase_dp");
+      obs::Span staircase_timer("bench/staircase_dp");
       const double staircase =
           SolvePassiveStaircase2D(weighted).optimal_weighted_error;
       const double staircase_ms = staircase_timer.ElapsedMillis();
@@ -267,7 +267,7 @@ void Run() {
 
     PassiveSolveOptions solve_options;
     solve_options.parallel.threads = 1;
-    obs::SpanTimer serial_timer("bench/solve_serial");
+    obs::Span serial_timer("bench/solve_serial");
     const PassiveSolveResult serial =
         SolvePassiveUnweighted(instance.data, solve_options);
     const double serial_ms = serial_timer.ElapsedMillis();
@@ -282,7 +282,7 @@ void Run() {
         static_cast<size_t>(serial.optimal_weighted_error + 0.5), "yes");
     for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
       solve_options.parallel.threads = threads;
-      obs::SpanTimer timer("bench/solve_parallel");
+      obs::Span timer("bench/solve_parallel");
       const PassiveSolveResult result =
           SolvePassiveUnweighted(instance.data, solve_options);
       const double ms = timer.ElapsedMillis();

@@ -140,8 +140,7 @@ ActiveSolveResult SolveActiveMultiD(const PointSet& points,
   // Step 3: passive weighted solve on Sigma (Theorem 3 reduction). The
   // flow solver returns the classifier minimizing w-err_Sigma, which by
   // Lemma 14 is (1+eps)-approximate on P with high probability.
-  const PassiveSolveResult passive =
-      SolvePassiveWeighted(result.sigma, options.passive);
+  const PassiveSolveResult passive = SolvePassiveWeighted(result.sigma);
   result.classifier = passive.classifier;
   result.sigma_error = passive.optimal_weighted_error;
   result.probes = oracle.NumProbes() - probes_before;

@@ -43,8 +43,6 @@ struct ActiveSolveOptions {
   // MinimumChainDecomposition2D. Must be a valid decomposition of the
   // input points.
   std::optional<ChainDecomposition> precomputed_chains;
-  // Options for the final passive solve on Sigma.
-  PassiveSolveOptions passive;
   // Parallelism for the per-chain 1D solves. Chains are independent
   // sub-problems, so they run as pool tasks; results are merged in chain
   // order and each chain draws from its own (seed, chain_index) RNG

@@ -15,8 +15,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Same CAS idiom as obs/metrics.cc: contention is rare (one update per
-// solve / pool task, not per element).
+// Lock-free min/max/add via compare-exchange: contention is rare (one
+// update per solve / pool task / shard, not per element).
 void AtomicMin(mc::atomic<double>& target, double value) {
   double current = target.load(mc::memory_order_relaxed);
   while (value < current &&

@@ -1,13 +1,17 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// HDR-style latency histogram: log2 octaves subdivided into linear
+// HDR-style histogram, the metrics layer's one distribution type: it
+// backs both MC_LATENCY (microseconds) and MC_HISTOGRAM (unitless
+// quantities such as chain counts and level sizes, reported by their
+// exact count/sum/min/max). Log2 octaves are subdivided into linear
 // sub-buckets, so every recorded value lands in a bucket whose width is
 // at most 1/kSubBuckets of its magnitude. Quantiles (p50/p90/p99/p999)
-// are computed exactly from the bucket counts by nearest rank, with a
-// worst-case relative error of one sub-bucket width (~3% at 32
-// sub-buckets per octave) -- unlike util/stats.h RunningStat::Quantile,
-// which assumes normality and is only a moment-based estimate.
+// are computed from the bucket counts by nearest rank, with a worst-case
+// relative error of one sub-bucket width (~3% at 32 sub-buckets per
+// octave), in O(kNumBuckets) memory. util/stats.h RunningStat::Quantile
+// is exact (it interpolates between stored order statistics) but keeps
+// every sample, so it suits bench harnesses, not process-wide metrics.
 //
 // Updates are single relaxed atomic increments (plus CAS loops for
 // sum/min/max), so a LatencyHistogram can be hammered from every pool

@@ -4,8 +4,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <ostream>
 
 #include "util/check.h"
@@ -13,88 +11,6 @@
 
 namespace monoclass {
 namespace obs {
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Lock-free min/max via compare-exchange (contention is rare: histograms
-// record per-phase aggregates, not per-element events).
-void AtomicMin(mc::atomic<double>& target, double value) {
-  double current = target.load(mc::memory_order_relaxed);
-  while (value < current &&
-         !target.compare_exchange_weak(current, value,
-                                       mc::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMax(mc::atomic<double>& target, double value) {
-  double current = target.load(mc::memory_order_relaxed);
-  while (value > current &&
-         !target.compare_exchange_weak(current, value,
-                                       mc::memory_order_relaxed)) {
-  }
-}
-
-void AtomicAdd(mc::atomic<double>& target, double delta) {
-  double current = target.load(mc::memory_order_relaxed);
-  while (!target.compare_exchange_weak(current, current + delta,
-                                       mc::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-int Histogram::BucketIndex(double value) {
-  if (!(value > 0.0)) return 0;  // <= 0 and NaN land in the bottom bucket
-  const int exponent = std::ilogb(value);
-  const int bucket = exponent + kBucketBias;
-  if (bucket < 0) return 0;
-  if (bucket >= kNumBuckets) return kNumBuckets - 1;
-  return bucket;
-}
-
-void Histogram::Observe(double value) {
-  const uint64_t previous = count_.fetch_add(1, mc::memory_order_relaxed);
-  AtomicAdd(sum_, value);
-  if (previous == 0) {
-    // First observation seeds min/max; racing observers converge through
-    // the CAS loops below.
-    double expected = 0.0;
-    min_.compare_exchange_strong(expected, value, mc::memory_order_relaxed);
-    expected = 0.0;
-    max_.compare_exchange_strong(expected, value, mc::memory_order_relaxed);
-  }
-  AtomicMin(min_, value);
-  AtomicMax(max_, value);
-  buckets_[BucketIndex(value)].fetch_add(1, mc::memory_order_relaxed);
-}
-
-double Histogram::Min() const {
-  return Count() == 0 ? kInf : min_.load(mc::memory_order_relaxed);
-}
-
-double Histogram::Max() const {
-  return Count() == 0 ? -kInf : max_.load(mc::memory_order_relaxed);
-}
-
-double Histogram::Mean() const {
-  const uint64_t n = Count();
-  return n == 0 ? 0.0 : Sum() / static_cast<double>(n);
-}
-
-uint64_t Histogram::BucketCount(int bucket) const {
-  MC_CHECK_GE(bucket, 0);
-  MC_CHECK_LT(bucket, kNumBuckets);
-  return buckets_[bucket].load(mc::memory_order_relaxed);
-}
-
-void Histogram::Reset() {
-  count_.store(0, mc::memory_order_relaxed);
-  sum_.store(0.0, mc::memory_order_relaxed);
-  min_.store(0.0, mc::memory_order_relaxed);
-  max_.store(0.0, mc::memory_order_relaxed);
-  for (auto& bucket : buckets_) bucket.store(0, mc::memory_order_relaxed);
-}
 
 const MetricSample* MetricsSnapshot::Find(std::string_view name) const {
   for (const MetricSample& sample : samples) {
@@ -116,64 +32,43 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-Counter* MetricsRegistry::GetCounter(std::string_view name) {
-  MutexLock lock(mu_);
-  MC_CHECK(gauges_.find(name) == gauges_.end() &&
-           histograms_.find(name) == histograms_.end() &&
-           latencies_.find(name) == latencies_.end())
+namespace {
+
+// Returns the metric named `name` in `metrics`, creating it on first use.
+// A name already registered in one of `other_kinds` is a caller bug.
+template <typename Metric, typename... OtherMaps>
+Metric* FindOrCreate(
+    std::map<std::string, std::unique_ptr<Metric>, std::less<>>& metrics,
+    std::string_view name, const OtherMaps&... other_kinds) {
+  auto it = metrics.find(name);
+  if (it != metrics.end()) return it->second.get();
+  MC_CHECK(((other_kinds.find(name) == other_kinds.end()) && ...))
       << "metric '" << std::string(name) << "' already registered with a "
       << "different kind";
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return it->second.get();
+  return metrics.emplace(std::string(name), std::make_unique<Metric>())
+      .first->second.get();
+}
+
+}  // namespace
+
+Counter* MetricsRegistry::GetCounter(std::string_view name) {
+  MutexLock lock(mu_);
+  return FindOrCreate(counters_, name, gauges_, histograms_, latencies_);
 }
 
 Gauge* MetricsRegistry::GetGauge(std::string_view name) {
   MutexLock lock(mu_);
-  MC_CHECK(counters_.find(name) == counters_.end() &&
-           histograms_.find(name) == histograms_.end() &&
-           latencies_.find(name) == latencies_.end())
-      << "metric '" << std::string(name) << "' already registered with a "
-      << "different kind";
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
+  return FindOrCreate(gauges_, name, counters_, histograms_, latencies_);
 }
 
-Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
+LatencyHistogram* MetricsRegistry::GetHistogram(std::string_view name) {
   MutexLock lock(mu_);
-  MC_CHECK(counters_.find(name) == counters_.end() &&
-           gauges_.find(name) == gauges_.end() &&
-           latencies_.find(name) == latencies_.end())
-      << "metric '" << std::string(name) << "' already registered with a "
-      << "different kind";
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return it->second.get();
+  return FindOrCreate(histograms_, name, counters_, gauges_, latencies_);
 }
 
 LatencyHistogram* MetricsRegistry::GetLatency(std::string_view name) {
   MutexLock lock(mu_);
-  MC_CHECK(counters_.find(name) == counters_.end() &&
-           gauges_.find(name) == gauges_.end() &&
-           histograms_.find(name) == histograms_.end())
-      << "metric '" << std::string(name) << "' already registered with a "
-      << "different kind";
-  auto it = latencies_.find(name);
-  if (it == latencies_.end()) {
-    it = latencies_
-             .emplace(std::string(name), std::make_unique<LatencyHistogram>())
-             .first;
-  }
-  return it->second.get();
+  return FindOrCreate(latencies_, name, counters_, gauges_, histograms_);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
@@ -195,31 +90,34 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     sample.value = gauge->Value();
     snapshot.samples.push_back(std::move(sample));
   }
-  for (const auto& [name, histogram] : histograms_) {
+  // Histograms and latencies share one type; only latencies report
+  // quantiles.
+  const auto distribution = [](const std::string& name,
+                               MetricSample::Kind kind,
+                               const LatencyHistogram& histogram) {
     MetricSample sample;
     sample.name = name;
-    sample.kind = MetricSample::Kind::kHistogram;
-    sample.count = histogram->Count();
-    sample.sum = histogram->Sum();
-    sample.value = histogram->Mean();
-    sample.min = sample.count == 0 ? 0.0 : histogram->Min();
-    sample.max = sample.count == 0 ? 0.0 : histogram->Max();
-    snapshot.samples.push_back(std::move(sample));
+    sample.kind = kind;
+    sample.count = histogram.Count();
+    sample.sum = histogram.Sum();
+    sample.value = histogram.Mean();
+    sample.min = sample.count == 0 ? 0.0 : histogram.Min();
+    sample.max = sample.count == 0 ? 0.0 : histogram.Max();
+    if (kind == MetricSample::Kind::kLatency) {
+      sample.p50 = histogram.Quantile(0.5);
+      sample.p90 = histogram.Quantile(0.9);
+      sample.p99 = histogram.Quantile(0.99);
+      sample.p999 = histogram.Quantile(0.999);
+    }
+    return sample;
+  };
+  for (const auto& [name, histogram] : histograms_) {
+    snapshot.samples.push_back(
+        distribution(name, MetricSample::Kind::kHistogram, *histogram));
   }
   for (const auto& [name, latency] : latencies_) {
-    MetricSample sample;
-    sample.name = name;
-    sample.kind = MetricSample::Kind::kLatency;
-    sample.count = latency->Count();
-    sample.sum = latency->Sum();
-    sample.value = latency->Mean();
-    sample.min = sample.count == 0 ? 0.0 : latency->Min();
-    sample.max = sample.count == 0 ? 0.0 : latency->Max();
-    sample.p50 = latency->Quantile(0.5);
-    sample.p90 = latency->Quantile(0.9);
-    sample.p99 = latency->Quantile(0.99);
-    sample.p999 = latency->Quantile(0.999);
-    snapshot.samples.push_back(std::move(sample));
+    snapshot.samples.push_back(
+        distribution(name, MetricSample::Kind::kLatency, *latency));
   }
   // The per-kind maps are each sorted; a final sort merges them by name.
   std::sort(snapshot.samples.begin(), snapshot.samples.end(),
@@ -239,37 +137,6 @@ void MetricsRegistry::ResetAll() {
 
 void MetricsRegistry::WriteJson(std::ostream& out) const {
   WriteSnapshotJson(Snapshot(), out);
-}
-
-void MetricsRegistry::WriteText(std::ostream& out) const {
-  const MetricsSnapshot snapshot = Snapshot();
-  size_t width = 0;
-  for (const MetricSample& sample : snapshot.samples) {
-    width = std::max(width, sample.name.size());
-  }
-  for (const MetricSample& sample : snapshot.samples) {
-    out << sample.name << std::string(width - sample.name.size() + 2, ' ');
-    switch (sample.kind) {
-      case MetricSample::Kind::kCounter:
-        out << static_cast<uint64_t>(sample.value) << " (counter)";
-        break;
-      case MetricSample::Kind::kGauge:
-        out << sample.value << " (gauge)";
-        break;
-      case MetricSample::Kind::kHistogram:
-        out << "count=" << sample.count << " sum=" << sample.sum
-            << " min=" << sample.min << " max=" << sample.max
-            << " mean=" << sample.value << " (histogram)";
-        break;
-      case MetricSample::Kind::kLatency:
-        out << "count=" << sample.count << " p50=" << sample.p50
-            << " p90=" << sample.p90 << " p99=" << sample.p99
-            << " p999=" << sample.p999 << " max=" << sample.max
-            << " (latency, us)";
-        break;
-    }
-    out << "\n";
-  }
 }
 
 void MetricsRegistry::ExposeText(std::ostream& out) const {

@@ -1,9 +1,16 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Process-wide metrics registry: named counters, gauges and log-bucket
-// histograms behind the MC_COUNTER / MC_GAUGE / MC_HISTOGRAM macros
+// Process-wide metrics registry: named counters, gauges and histograms
+// behind the MC_COUNTER / MC_GAUGE / MC_HISTOGRAM / MC_LATENCY macros
 // (see obs/obs.h for the gating rules).
+//
+// There is one distribution type, obs::LatencyHistogram. The registry
+// still keeps two kinds of it in separate maps: "histograms" (unitless
+// quantities such as chain counts, reported as count/sum/min/max/mean
+// and exposed as `# TYPE <name> histogram`) and "latencies" (MC_LATENCY
+// microseconds, reported with p50/p90/p99/p999 and exposed as
+// `# TYPE <name> summary`). A name belongs to exactly one kind.
 //
 // Design constraints, in order:
 //   * O(1), thread-safe hot path -- updates are single relaxed atomics;
@@ -56,38 +63,6 @@ class Gauge {
   mc::atomic<double> value_{0.0};
 };
 
-// Histogram over doubles with power-of-two buckets: bucket b counts
-// observations v with 2^(b-kBucketBias) <= |v| < 2^(b-kBucketBias+1)
-// (bucket 0 additionally absorbs v <= 0 and denormals). Tracks count,
-// sum, min and max exactly; the buckets give shape at ~2x resolution,
-// which is enough for "how skewed are the level sizes" questions.
-class Histogram {
- public:
-  static constexpr int kNumBuckets = 64;
-  static constexpr int kBucketBias = 16;  // bucket 16 covers [1, 2)
-
-  void Observe(double value);
-
-  uint64_t Count() const { return count_.load(mc::memory_order_relaxed); }
-  double Sum() const { return sum_.load(mc::memory_order_relaxed); }
-  double Min() const;  // +inf when empty
-  double Max() const;  // -inf when empty
-  double Mean() const;
-  uint64_t BucketCount(int bucket) const;
-
-  // Index of the bucket `value` lands in (exposed for tests).
-  static int BucketIndex(double value);
-
-  void Reset();
-
- private:
-  mc::atomic<uint64_t> count_{0};
-  mc::atomic<double> sum_{0.0};
-  mc::atomic<double> min_{0.0};
-  mc::atomic<double> max_{0.0};
-  mc::atomic<uint64_t> buckets_[kNumBuckets] = {};
-};
-
 // One metric in a point-in-time snapshot.
 struct MetricSample {
   enum class Kind { kCounter, kGauge, kHistogram, kLatency };
@@ -124,7 +99,7 @@ class MetricsRegistry {
 
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
-  Histogram* GetHistogram(std::string_view name);
+  LatencyHistogram* GetHistogram(std::string_view name);
   LatencyHistogram* GetLatency(std::string_view name);
 
   MetricsSnapshot Snapshot() const;
@@ -136,9 +111,6 @@ class MetricsRegistry {
   // {"count":..,"sum":..,"min":..,"max":..,"mean":..}}, "latencies":
   // {name: {..., "p50":..,"p90":..,"p99":..,"p999":..}}}
   void WriteJson(std::ostream& out) const;
-
-  // Aligned name/value table for terminal output.
-  void WriteText(std::ostream& out) const;
 
   // Prometheus-style text exposition (docs/observability.md#exposition):
   // one `# TYPE` comment per metric, `name value` lines, latency
@@ -160,8 +132,8 @@ class MetricsRegistry {
       MC_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       MC_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
-      MC_GUARDED_BY(mu_);
+  std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
+      histograms_ MC_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
       latencies_ MC_GUARDED_BY(mu_);
 };

@@ -82,7 +82,7 @@ struct PoolMetricSinks {
   Counter* tasks;
   Counter* contentions;
   Gauge* queue_depth_now;
-  Histogram* queue_depth;
+  LatencyHistogram* queue_depth;
   LatencyHistogram* task_wait;
   LatencyHistogram* task_run;
   LatencyHistogram* mutex_wait;

@@ -26,7 +26,8 @@
 //
 //   MC_COUNTER("name", delta)    monotone counter += delta
 //   MC_GAUGE("name", value)      last-value gauge
-//   MC_HISTOGRAM("name", value)  log-bucket histogram observation
+//   MC_HISTOGRAM("name", value)  distribution observation (count/sum/
+//                                min/max/mean; a LatencyHistogram)
 //   MC_SPAN("name")              RAII trace span for the enclosing scope
 //   MC_LATENCY("name")           RAII latency-histogram timer for the
 //                                enclosing scope (quantile-exact
@@ -174,7 +175,7 @@ class LatencyScope {
 #define MC_HISTOGRAM(name, value)                                        \
   do {                                                                   \
     if (::monoclass::obs::Enabled()) {                                   \
-      static ::monoclass::obs::Histogram* mc_obs_histogram =             \
+      static ::monoclass::obs::LatencyHistogram* mc_obs_histogram =      \
           ::monoclass::obs::MetricsRegistry::Global().GetHistogram(name); \
       mc_obs_histogram->Observe(static_cast<double>(value));             \
     }                                                                    \

@@ -171,11 +171,10 @@ void WriteTextReport(std::ostream& out) {
   }
 }
 
-Span::Span(const char* name) : name_(name), recorded_(false) {
+Span::Span(const char* name) : name_(name), start_us_(NowMicros()) {
   if (TracingActive()) recorded_ = Record(name_, 'B');
   if (FlightRecordingActive()) {
     flight_name_id_ = InternFlightName(name_);
-    flight_start_us_ = NowMicros();
     in_flight_ = true;
     RecordFlightEvent(FlightEventType::kSpanBegin, flight_name_id_, 0.0);
   }
@@ -187,31 +186,11 @@ Span::~Span() {
   if (recorded_) Record(name_, 'E');
   if (in_flight_) {
     RecordFlightEvent(FlightEventType::kSpanEnd, flight_name_id_,
-                      NowMicros() - flight_start_us_);
-  }
-}
-
-SpanTimer::SpanTimer(const char* name)
-    : name_(name), start_us_(NowMicros()), recorded_(false) {
-  if (TracingActive()) recorded_ = Record(name_, 'B');
-  if (FlightRecordingActive()) {
-    flight_name_id_ = InternFlightName(name_);
-    in_flight_ = true;
-    RecordFlightEvent(FlightEventType::kSpanBegin, flight_name_id_, 0.0);
-  }
-}
-
-SpanTimer::~SpanTimer() {
-  if (recorded_) Record(name_, 'E');
-  if (in_flight_) {
-    RecordFlightEvent(FlightEventType::kSpanEnd, flight_name_id_,
                       NowMicros() - start_us_);
   }
 }
 
-double SpanTimer::ElapsedMillis() const {
-  return (NowMicros() - start_us_) / 1e3;
-}
+double Span::ElapsedMillis() const { return (NowMicros() - start_us_) / 1e3; }
 
 }  // namespace obs
 }  // namespace monoclass

@@ -69,11 +69,14 @@ void WriteChromeTrace(std::ostream& out);
 // becomes one line with call count, total and self wall time.
 void WriteTextReport(std::ostream& out);
 
-// RAII span used by MC_SPAN. Cheap when both tracing and flight
-// recording are inactive: two relaxed atomic loads in the constructor,
-// two branches in the destructor. When the flight recorder is on the
-// span additionally brackets itself with begin/end ring events
-// (obs/flight.h), independent of the trace buffer.
+// RAII span used by MC_SPAN, and the bench-side stopwatch: it always
+// stamps its start time, so ElapsedMillis() measures the scope whether
+// or not anything is recording -- one object both fills a benchmark
+// table cell and shows up in the trace. When tracing is active the span
+// records a B event at construction and an E event at destruction; when
+// the flight recorder is on it additionally brackets itself with
+// begin/end ring events (obs/flight.h), independent of the trace buffer.
+// With both off the cost is one clock read and two relaxed atomic loads.
 class Span {
  public:
   explicit Span(const char* name);
@@ -82,34 +85,13 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
- private:
-  const char* name_;
-  bool recorded_;
-  bool in_flight_ = false;
-  uint32_t flight_name_id_ = 0;
-  double flight_start_us_ = 0.0;
-};
-
-// A wall-clock stopwatch that doubles as a trace span: always measures
-// (for benchmark tables) and additionally records B/E events when tracing
-// is active. This is the bench-side replacement for util/timer.h's
-// WallTimer, so one object both fills a table cell and shows up in the
-// trace.
-class SpanTimer {
- public:
-  explicit SpanTimer(const char* name);
-  ~SpanTimer();
-
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-
   double ElapsedMillis() const;
   double ElapsedSeconds() const { return ElapsedMillis() * 1e-3; }
 
  private:
   const char* name_;
   double start_us_;
-  bool recorded_;
+  bool recorded_ = false;
   bool in_flight_ = false;
   uint32_t flight_name_id_ = 0;
 };

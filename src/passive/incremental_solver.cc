@@ -22,7 +22,8 @@ namespace monoclass {
 
 IncrementalPassiveSolver::IncrementalPassiveSolver(
     IncrementalSolveOptions options)
-    : options_(options), solver_(CreateMaxFlowSolver(options_.algorithm)) {}
+    : options_(options),
+      solver_(CreateMaxFlowSolver(MaxFlowAlgorithm::kDinic)) {}
 
 IncrementalPassiveSolver::IncrementalPassiveSolver(
     const WeightedPointSet& initial, IncrementalSolveOptions options)
@@ -460,9 +461,9 @@ void IncrementalPassiveSolver::DrainEdge(int u, size_t edge_index) {
 
 bool IncrementalPassiveSolver::NeedsRebuild() const {
   if (pending_rebuild_) return true;
-  return dead_edge_entries_ >= options_.compact_min_dead_edges &&
+  return dead_edge_entries_ >= kCompactMinDeadEdges &&
          static_cast<double>(dead_edge_entries_) >
-             options_.compact_dead_edge_ratio *
+             kCompactDeadEdgeRatio *
                  static_cast<double>(network_.NumStoredEdges());
 }
 
@@ -738,9 +739,7 @@ AuditResult IncrementalPassiveSolver::AuditIncrementalCut() {
   // the snapshot's points. Only the raw flow value gets a float
   // tolerance (it is a running sum on the warm side).
   const WeightedPointSet snapshot = Snapshot();
-  PassiveSolveOptions cold_options;
-  cold_options.algorithm = options_.algorithm;
-  const PassiveSolveResult cold = SolvePassiveWeighted(snapshot, cold_options);
+  const PassiveSolveResult cold = SolvePassiveWeighted(snapshot);
   if (cold.assignment != warm.assignment) {
     for (size_t k = 0; k < cold.assignment.size(); ++k) {
       if (cold.assignment[k] != warm.assignment[k]) {

@@ -60,18 +60,17 @@
 namespace monoclass {
 
 struct IncrementalSolveOptions {
-  // Which backend repairs the flow (Solve on rebuilds, Augment per delta).
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
   // Parallelism for the O(n) conflict scans and the rebuild wiring; the
   // same shard-merge determinism contract as PassiveSolveOptions.
   ParallelOptions parallel;
-  // Deactivated edges stay in the network as inert zero-capacity
-  // entries. Once they exceed this fraction of the stored edges the
-  // solver compacts: full rebuild of chains, network and flow.
-  double compact_dead_edge_ratio = 0.5;
-  // Dead-edge compaction never triggers below this many dead entries.
-  size_t compact_min_dead_edges = 64;
 };
+
+// Deactivated edges stay in the network as inert zero-capacity entries.
+// Once they exceed this fraction of the stored edges the solver compacts:
+// full rebuild of chains, network and flow.
+inline constexpr double kCompactDeadEdgeRatio = 0.5;
+// Dead-edge compaction never triggers below this many dead entries.
+inline constexpr size_t kCompactMinDeadEdges = 64;
 
 // Lifetime counters for the delta pipeline (mirrored into the mc.inc.*
 // observability counters; see docs/incremental.md).

@@ -203,28 +203,30 @@ TEST(IncrementalSolverTest, RelabelOnlyStream) {
 }
 
 TEST(IncrementalSolverTest, AggressiveCompactionStaysCorrect) {
-  // Force a rebuild after virtually every structural delta: the compacted
-  // state must keep matching cold solves (and the conflict counters must
-  // survive rebuilds, which the rebuild audits under MONOCLASS_AUDIT).
+  // A long insert/erase churn piles up deactivated edges until they pass
+  // kCompactMinDeadEdges and kCompactDeadEdgeRatio of the stored ones:
+  // the compacted state must keep matching cold solves (and the conflict
+  // counters must survive rebuilds, which the rebuild audits under
+  // MONOCLASS_AUDIT). The live size stays at 24-25 unit-weight points,
+  // so the infinite-capacity headroom (2W + 1) never runs out and every
+  // rebuild after the bulk load is a compaction.
   Rng rng(88);
-  IncrementalSolveOptions options;
-  options.compact_dead_edge_ratio = 0.01;
-  options.compact_min_dead_edges = 1;
   WeightedPointSet initial;
-  for (int i = 0; i < 16; ++i) {
+  for (int i = 0; i < 24; ++i) {
     initial.Add(GridPoint(rng, 2), rng.Bernoulli(0.5) ? 1 : 0, 1.0);
   }
-  IncrementalPassiveSolver solver(initial, options);
-  for (int step = 0; step < 30; ++step) {
+  IncrementalPassiveSolver solver(initial);
+  const uint64_t bulk_load_rebuilds = solver.stats().rebuilds;
+  for (int step = 0; step < 240; ++step) {
     const std::vector<size_t> live = solver.LiveIds();
-    if (step % 2 == 0 || live.empty()) {
+    if (step % 2 == 0) {
       solver.Insert(GridPoint(rng, 2), rng.Bernoulli(0.5) ? 1 : 0);
     } else {
       solver.Erase(live[rng.UniformInt(live.size())]);
     }
     ExpectMatchesCold(solver, "compacting step " + std::to_string(step));
   }
-  EXPECT_GT(solver.stats().rebuilds, 0u);
+  EXPECT_GT(solver.stats().rebuilds, bulk_load_rebuilds);
   EXPECT_TRUE(solver.AuditIncrementalCut().ok);
 }
 

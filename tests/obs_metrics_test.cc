@@ -1,13 +1,13 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Tests for the metrics registry (obs/metrics.h): counter / gauge /
-// histogram semantics, snapshots, JSON validity of the dump, the runtime
-// enable switch, and thread safety of the hot path.
+// Tests for the metrics registry (obs/metrics.h): counter / gauge
+// semantics, histogram and latency registration, snapshots, the JSON
+// dump and text exposition, the runtime enable switch, and thread safety
+// of the hot path.
 
 #include "obs/metrics.h"
 
-#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,39 +37,6 @@ TEST(GaugeTest, KeepsLastValue) {
   gauge.Set(1.5);
   gauge.Set(-2.0);
   EXPECT_DOUBLE_EQ(gauge.Value(), -2.0);
-}
-
-TEST(HistogramTest, TracksMoments) {
-  Histogram histogram;
-  EXPECT_EQ(histogram.Count(), 0u);
-  EXPECT_TRUE(std::isinf(histogram.Min()));
-  for (const double v : {1.0, 2.0, 3.0, 10.0}) histogram.Observe(v);
-  EXPECT_EQ(histogram.Count(), 4u);
-  EXPECT_DOUBLE_EQ(histogram.Sum(), 16.0);
-  EXPECT_DOUBLE_EQ(histogram.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(histogram.Max(), 10.0);
-  EXPECT_DOUBLE_EQ(histogram.Mean(), 4.0);
-}
-
-TEST(HistogramTest, BucketIndexIsLogarithmic) {
-  // Bucket kBucketBias covers [1, 2).
-  EXPECT_EQ(Histogram::BucketIndex(1.0), Histogram::kBucketBias);
-  EXPECT_EQ(Histogram::BucketIndex(1.99), Histogram::kBucketBias);
-  EXPECT_EQ(Histogram::BucketIndex(2.0), Histogram::kBucketBias + 1);
-  EXPECT_EQ(Histogram::BucketIndex(1024.0), Histogram::kBucketBias + 10);
-  // Non-positive values land in bucket 0.
-  EXPECT_EQ(Histogram::BucketIndex(0.0), 0);
-  EXPECT_EQ(Histogram::BucketIndex(-5.0), 0);
-}
-
-TEST(HistogramTest, BucketCountsSumToCount) {
-  Histogram histogram;
-  for (int i = 1; i <= 100; ++i) histogram.Observe(static_cast<double>(i));
-  uint64_t total = 0;
-  for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-    total += histogram.BucketCount(b);
-  }
-  EXPECT_EQ(total, 100u);
 }
 
 TEST(MetricsRegistryTest, CreateOnDemandWithStablePointers) {
@@ -144,9 +111,21 @@ TEST(MetricsRegistryTest, ExposeTextIsParsableAndTyped) {
   registry.GetCounter("test.expose.c")->Add(4);
   registry.GetGauge("test.expose.g")->Set(2.5);
   registry.GetLatency("test.lat.expose")->Observe(10.0);
+  LatencyHistogram* histogram = registry.GetHistogram("test.expose.h");
+  histogram->Observe(3.0);
+  histogram->Observe(5.0);
   std::ostringstream out;
   registry.ExposeText(out);
   const std::string text = out.str();
+  // A histogram shares LatencyHistogram with the latencies but is exposed
+  // as moments only: no quantile lines.
+  EXPECT_NE(text.find("# TYPE test.expose.h histogram\n"
+                      "test.expose.h_count 2\n"
+                      "test.expose.h_sum 8\n"
+                      "test.expose.h_min 3\n"
+                      "test.expose.h_max 5\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("test.expose.h{quantile="), std::string::npos);
   EXPECT_NE(text.find("# TYPE test.expose.c counter\ntest.expose.c 4\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE test.expose.g gauge\n"), std::string::npos);
@@ -175,7 +154,14 @@ TEST(MetricsRegistryTest, JsonDumpIsValidJson) {
   ASSERT_NE(histograms, nullptr);
   const JsonValue* h = histograms->Find("test.json.h");
   ASSERT_NE(h, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : h->AsObject()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"count", "max", "mean", "min",
+                                            "sum"}));
   EXPECT_DOUBLE_EQ(h->Find("count")->AsNumber(), 1.0);
+  EXPECT_DOUBLE_EQ(h->Find("sum")->AsNumber(), 1.5);
+  EXPECT_DOUBLE_EQ(h->Find("min")->AsNumber(), 1.5);
+  EXPECT_DOUBLE_EQ(h->Find("max")->AsNumber(), 1.5);
   EXPECT_DOUBLE_EQ(h->Find("mean")->AsNumber(), 1.5);
 }
 
@@ -183,7 +169,7 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesDoNotRace) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter* counter = registry.GetCounter("test.threads.c");
   counter->Reset();
-  Histogram* histogram = registry.GetHistogram("test.threads.h");
+  LatencyHistogram* histogram = registry.GetHistogram("test.threads.h");
   histogram->Reset();
   constexpr int kThreads = 4;
   constexpr int kIters = 10000;

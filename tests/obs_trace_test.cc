@@ -1,11 +1,12 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Tests for the tracing layer (obs/trace.h): balanced B/E streams,
-// per-thread monotone timestamps, Chrome-trace JSON validity, the text
-// report, and the end-to-end acceptance scenario -- a multi_d active run
-// whose span tree covers chain decomposition -> per-chain 1D sampling ->
-// passive min-cut, with probe counters exactly matching the oracle.
+// Tests for the tracing layer (obs/trace.h): balanced B/E streams, the
+// span's always-on stopwatch, per-thread monotone timestamps,
+// Chrome-trace JSON validity, the text report, and the end-to-end
+// acceptance scenario -- a multi_d active run whose span tree covers
+// chain decomposition -> per-chain 1D sampling -> passive min-cut, with
+// probe counters exactly matching the oracle.
 
 #include "obs/trace.h"
 
@@ -19,6 +20,7 @@
 #include "active/multi_d.h"
 #include "active/oracle.h"
 #include "data/synthetic.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "util/concurrency.h"
@@ -95,6 +97,36 @@ TEST_F(TraceTest, SpanOpenAcrossStopStillCloses) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].phase, 'B');
   EXPECT_EQ(events[1].phase, 'E');
+}
+
+TEST_F(TraceTest, SpanTimesItsScopeWithOrWithoutRecording) {
+  // With tracing and flight recording off the span is a bare stopwatch.
+  StopTracing();
+  ASSERT_FALSE(FlightRecordingActive());
+  {
+    Span span("stopwatch");
+    const double first = span.ElapsedMillis();
+    EXPECT_GE(first, 0.0);
+    double later = first;
+    while (later <= first) later = span.ElapsedMillis();
+    EXPECT_GT(span.ElapsedSeconds(), first * 1e-3);
+  }
+  EXPECT_TRUE(TraceSnapshot().empty());
+
+  // With tracing on the same span also leaves one balanced B/E pair.
+  StartTracing();
+  {
+    Span span("timed");
+    EXPECT_GE(span.ElapsedMillis(), 0.0);
+  }
+  const std::vector<TraceEvent> events = TraceSnapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(std::string(events[0].name), "timed");
+  EXPECT_EQ(events[0].phase, 'B');
+  EXPECT_EQ(std::string(events[1].name), "timed");
+  EXPECT_EQ(events[1].phase, 'E');
+  EXPECT_EQ(events[0].tid, events[1].tid);
+  EXPECT_GE(events[1].ts_us, events[0].ts_us);
 }
 
 TEST_F(TraceTest, ChromeTraceIsValidJson) {
