@@ -9,15 +9,18 @@
 
 #include <algorithm>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "core/antichain.h"
 #include "data/synthetic.h"
 #include "passive/brute_force.h"
 #include "passive/contending.h"
 #include "passive/flow_solver.h"
 #include "passive/staircase_2d.h"
 #include "util/concurrency.h"
+#include "util/random.h"
 
 namespace monoclass {
 namespace {
@@ -297,6 +300,85 @@ void Run() {
       if (!identical) {
         std::cerr << "bench_passive_scaling: parallel run (threads="
                   << threads << ") diverged from serial output\n";
+      }
+    }
+    bench::PrintTable(table);
+  }
+
+  bench::PrintSection(
+      "antichain kernel worst case: anti-correlated points, |M| = n/2");
+  {
+    // Distinct points on a hyperplane sum x_i = K are pairwise
+    // incomparable. Integer coordinates keep the sums exact, and the
+    // first coordinate i keeps the points distinct. So
+    // with alternating labels both antichains of the contending pass
+    // hold n/2 points and nothing is contending: the kernel's
+    // O(n |M| d) bound at its largest. d = 2 keeps its O(n log n)
+    // staircase. The reference is the all-pairs scan, sharded over 4
+    // threads the way ComputeContending ran before the kernel.
+    TextTable table({"n", "d", "|min ones|", "|max zeros|", "kernel ms",
+                     "4-thread scan ms", "identical"});
+    const ParallelOptions four{.threads = 4};
+    for (const auto& [n, d] : {std::pair<size_t, size_t>{20000, 2},
+                               std::pair<size_t, size_t>{8192, 3},
+                               std::pair<size_t, size_t>{8192, 5}}) {
+      Rng rng(n + d);
+      PointSet points;
+      std::vector<Label> labels;
+      std::vector<size_t> zeros;
+      std::vector<size_t> ones;
+      for (size_t i = 0; i < n; ++i) {
+        constexpr uint64_t kRange = uint64_t{1} << 20;
+        std::vector<double> coords(d);
+        coords[0] = static_cast<double>(i);
+        double sum = coords[0];
+        for (size_t k = 1; k + 1 < d; ++k) {
+          sum += (coords[k] = static_cast<double>(rng.UniformInt(kRange)));
+        }
+        coords[d - 1] = static_cast<double>(d * kRange) - sum;
+        points.Add(Point(coords));
+        labels.push_back(static_cast<Label>(i % 2));
+        (i % 2 == 0 ? zeros : ones).push_back(i);
+      }
+      obs::Span kernel_timer("bench/contending_kernel");
+      const ContendingPartition kernel =
+          ComputeContending(points, labels, four);
+      const double kernel_ms = kernel_timer.ElapsedMillis();
+
+      obs::Span scan_timer("bench/contending_scan");
+      std::vector<std::vector<size_t>> shard_hits(four.Resolve());
+      ParallelFor(n, four, [&](size_t begin, size_t end, size_t shard) {
+        for (size_t i = begin; i < end; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            if (i != j && LabelsConflict(points[i], labels[i], points[j],
+                                         labels[j])) {
+              shard_hits[shard].push_back(i);
+              break;
+            }
+          }
+        }
+      });
+      std::vector<size_t> scan;
+      for (const auto& hits : shard_hits) {
+        scan.insert(scan.end(), hits.begin(), hits.end());
+      }
+      const double scan_ms = scan_timer.ElapsedMillis();
+
+      const size_t min_ones =
+          ExtremalAntichain(points.points(), ones, Extremal::kMinimal)
+              .members()
+              .size();
+      const size_t max_zeros =
+          ExtremalAntichain(points.points(), zeros, Extremal::kMaximal)
+              .members()
+              .size();
+      table.AddRowValues(n, d, min_ones, max_zeros,
+                         FormatDouble(kernel_ms, 4), FormatDouble(scan_ms, 4),
+                         kernel.contending == scan ? "yes" : "NO");
+      if (kernel.contending != scan) {
+        std::cerr << "bench_passive_scaling: kernel contending set diverged "
+                     "from the scan at n = "
+                  << n << ", d = " << d << "\n";
       }
     }
     bench::PrintTable(table);

@@ -6,7 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
+
+#include "core/antichain.h"
+#include "core/invariant_audit.h"
 
 namespace monoclass {
 
@@ -27,6 +31,9 @@ MonotoneClassifier MonotoneClassifier::FromGenerators(
   MC_CHECK_GE(dimension, 1u);
   for (const Point& g : generators) {
     MC_CHECK_EQ(g.dimension(), dimension);
+    for (size_t i = 0; i < dimension; ++i) {
+      MC_CHECK(!std::isnan(g[i])) << "generator coordinate is NaN";
+    }
   }
   return MonotoneClassifier(MinimalGenerators(std::move(generators)),
                             dimension);
@@ -44,12 +51,29 @@ std::optional<MonotoneClassifier> MonotoneClassifier::FromAssignment(
     const PointSet& points, const std::vector<Label>& values) {
   MC_CHECK_EQ(points.size(), values.size());
   MC_CHECK(!points.empty());
-  if (!IsMonotoneAssignment(points, values)) return std::nullopt;
-  std::vector<Point> positives;
+  // The certificate (Lemma 16): with M the minimal value-1 points, the
+  // assignment is monotone iff no value-0 point weakly dominates a member
+  // of M -- a value-0 point above any value-1 point lies above a minimal
+  // one. M is then exactly the minimal generator set of the positives.
+  std::vector<size_t> positives;
   for (size_t i = 0; i < points.size(); ++i) {
-    if (values[i] == 1) positives.push_back(points[i]);
+    if (values[i] == 1) positives.push_back(i);
   }
-  return FromGenerators(std::move(positives), points.dimension());
+  const ExtremalAntichain minimal(points.points(), positives,
+                                  Extremal::kMinimal);
+  std::optional<MonotoneClassifier> classifier;
+  bool monotone = true;
+  for (size_t i = 0; i < points.size() && monotone; ++i) {
+    monotone = values[i] != 0 || !minimal.Covers(points[i]);
+  }
+  if (monotone) {
+    std::vector<Point> generators;
+    generators.reserve(minimal.members().size());
+    for (const size_t i : minimal.members()) generators.push_back(points[i]);
+    classifier = MonotoneClassifier(std::move(generators), points.dimension());
+  }
+  MC_AUDIT(AuditAssignmentCertificate(classifier, points, values));
+  return classifier;
 }
 
 bool MonotoneClassifier::Classify(const Point& x) const {
@@ -167,24 +191,15 @@ bool EquivalentOn(const MonotoneClassifier& a, const MonotoneClassifier& b,
 }
 
 std::vector<Point> MinimalGenerators(std::vector<Point> generators) {
-  const size_t n = generators.size();
-  std::vector<bool> keep(n, true);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n && keep[i]; ++j) {
-      if (i == j) continue;
-      if (!DominatesEq(generators[i], generators[j])) continue;
-      if (generators[i] != generators[j]) {
-        keep[i] = false;  // strictly above another generator
-      } else if (j < i) {
-        keep[i] = false;  // duplicate: keep only the first occurrence
-      }
-    }
+  std::vector<size_t> all(generators.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  const ExtremalAntichain minimal(generators, all, Extremal::kMinimal);
+  std::vector<Point> kept;
+  kept.reserve(minimal.members().size());
+  for (const size_t i : minimal.members()) {
+    kept.push_back(std::move(generators[i]));
   }
-  std::vector<Point> minimal;
-  for (size_t i = 0; i < n; ++i) {
-    if (keep[i]) minimal.push_back(std::move(generators[i]));
-  }
-  return minimal;
+  return kept;
 }
 
 }  // namespace monoclass

@@ -50,7 +50,9 @@ class MonotoneClassifier {
   // extends monotonically to R^d (positive region generated by the minimal
   // value-1 points). Returns nullopt when the assignment itself is not
   // monotone on `points`, i.e., some p dominates q with value(p) = 0 and
-  // value(q) = 1.
+  // value(q) = 1. Decided by the Lemma 16 certificate against the
+  // minimal value-1 antichain M (core/antichain.h), in
+  // O(n log n d + n |M| d), O(n log n) for d = 2.
   static std::optional<MonotoneClassifier> FromAssignment(
       const PointSet& points, const std::vector<Label>& values);
 
@@ -88,14 +90,16 @@ size_t CountErrors(const MonotoneClassifier& h, const LabeledPointSet& set);
 double WeightedError(const MonotoneClassifier& h, const WeightedPointSet& set);
 
 // Audits that an explicit 0/1 assignment over `points` respects dominance
-// (no p >= q with value(p) = 0, value(q) = 1). O(d n^2).
+// (no p >= q with value(p) = 0, value(q) = 1) by the all-pairs scan,
+// O(d n^2): the oracle FromAssignment's certificate is tested against.
 bool IsMonotoneAssignment(const PointSet& points,
                           const std::vector<Label>& values);
 
 // Prunes non-minimal points from a generator set: keeps each point that is
 // not weakly dominated by a *different remaining* generator (one survivor
-// per duplicate group). The result is an antichain generating the same
-// upward closure.
+// per duplicate group), in input order. The result is an antichain
+// generating the same upward closure. Runs the antichain kernel of
+// core/antichain.h.
 std::vector<Point> MinimalGenerators(std::vector<Point> generators);
 
 // Classifier algebra. Monotone classifiers are upward-closed regions, and

@@ -4,6 +4,7 @@
 #include "core/invariant_audit.h"
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/antichain.h"
@@ -108,6 +109,48 @@ AuditResult AuditMonotone(const MonotoneClassifier& h, const PointSet& points) {
             << " yet h(" << p << ") = 0 and h(" << q << ") = 1";
         return AuditResult::Fail(why.str());
       }
+    }
+  }
+  return AuditResult::Ok();
+}
+
+AuditResult AuditExtremalAntichain(const std::vector<Point>& points,
+                                   const std::vector<size_t>& subset,
+                                   Extremal which,
+                                   const std::vector<size_t>& members) {
+  if (subset.size() > kAntichainOracleCap) return AuditResult::Ok();
+  const std::vector<size_t> expected =
+      ExtremalElementsByScan(points, subset, which);
+  if (members != expected) {
+    std::ostringstream why;
+    why << (which == Extremal::kMinimal ? "minimal" : "maximal")
+        << " antichain kernel kept " << members.size()
+        << " elements but the all-pairs scan keeps " << expected.size();
+    return AuditResult::Fail(why.str());
+  }
+  return AuditResult::Ok();
+}
+
+AuditResult AuditAssignmentCertificate(
+    const std::optional<MonotoneClassifier>& h, const PointSet& points,
+    const std::vector<Label>& assignment) {
+  if (points.size() > kAntichainOracleCap) return AuditResult::Ok();
+  if (h.has_value() != IsMonotoneAssignment(points, assignment)) {
+    return AuditResult::Fail(
+        std::string("Lemma 16 certificate ") +
+        (h.has_value() ? "accepted" : "rejected") +
+        " an assignment the all-pairs scan " +
+        (h.has_value() ? "rejects" : "accepts"));
+  }
+  if (!h.has_value()) return AuditResult::Ok();
+  const std::vector<Label> evaluated = h->ClassifySet(points);
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (evaluated[i] != assignment[i]) {
+      std::ostringstream why;
+      why << "Lemma 16 certificate: h(" << i << ") = "
+          << static_cast<int>(evaluated[i]) << " but the assignment gives "
+          << static_cast<int>(assignment[i]);
+      return AuditResult::Fail(why.str());
     }
   }
   return AuditResult::Ok();

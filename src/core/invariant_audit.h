@@ -14,6 +14,10 @@
 #ifndef MONOCLASS_CORE_INVARIANT_AUDIT_H_
 #define MONOCLASS_CORE_INVARIANT_AUDIT_H_
 
+#include <optional>
+#include <vector>
+
+#include "core/antichain.h"
 #include "core/chain_decomposition.h"
 #include "core/classifier.h"
 #include "core/dataset.h"
@@ -43,6 +47,28 @@ AuditResult AuditChainDecomposition(const PointSet& points,
 // a fixed size cap (see invariant_audit.cc) so audited builds keep the
 // solvers' asymptotics.
 AuditResult AuditMonotone(const MonotoneClassifier& h, const PointSet& points);
+
+// Audited builds check the antichain kernel and everything routed
+// through it against the all-pairs oracles up to this many points; past
+// it an O(d n^2) oracle would change a solver's asymptotics.
+inline constexpr size_t kAntichainOracleCap = 4096;
+
+// Antichain-kernel audit: `members` equals ExtremalElementsByScan, the
+// all-pairs definition of the minimal (maximal) elements of `subset`.
+// O(d m^2); skipped above a fixed size cap.
+AuditResult AuditExtremalAntichain(const std::vector<Point>& points,
+                                   const std::vector<size_t>& subset,
+                                   Extremal which,
+                                   const std::vector<size_t>& members);
+
+// Lemma 16 certificate audit of MonotoneClassifier::FromAssignment: `h`
+// is present iff the all-pairs IsMonotoneAssignment accepts `assignment`,
+// and then reproduces it on every point. O(d n^2); skipped above a fixed
+// size cap.
+AuditResult AuditAssignmentCertificate(
+    const std::optional<MonotoneClassifier>& h,
+                                       const PointSet& points,
+                                       const std::vector<Label>& assignment);
 
 }  // namespace monoclass
 

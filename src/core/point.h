@@ -24,39 +24,60 @@
 
 namespace monoclass {
 
-// An immutable point in R^d. Cheap to copy for small d (the regime of the
-// paper: similarity-score vectors with a handful of metrics).
+// An immutable point in R^d. Up to kInlineDimension coordinates live
+// inside the object itself (the regime of the paper: similarity-score
+// vectors with a handful of metrics), so a PointSet of small-d points is
+// one contiguous allocation; larger points keep their coordinates on the
+// heap.
 class Point {
  public:
+  static constexpr size_t kInlineDimension = 4;
+
   Point() = default;
 
-  explicit Point(std::vector<double> coordinates)
-      : coordinates_(std::move(coordinates)) {}
+  explicit Point(const std::vector<double>& coordinates)
+      : Point(coordinates.data(), coordinates.size()) {}
 
   Point(std::initializer_list<double> coordinates)
-      : coordinates_(coordinates) {}
+      : Point(coordinates.begin(), coordinates.size()) {}
+
+  Point(const Point& other) : Point(other.data(), other.dimension_) {}
+  Point(Point&& other) noexcept;
+  Point& operator=(const Point& other);
+  Point& operator=(Point&& other) noexcept;
+  ~Point() { Release(); }
 
   // Number of dimensions d.
-  size_t dimension() const { return coordinates_.size(); }
+  size_t dimension() const { return dimension_; }
 
   // Coordinate on dimension i (0-based; the paper writes p[i] 1-based).
   double operator[](size_t i) const {
-    MC_DCHECK_LT(i, coordinates_.size());
-    return coordinates_[i];
+    MC_DCHECK_LT(i, dimension_);
+    return data()[i];
   }
 
-  const std::vector<double>& coordinates() const { return coordinates_; }
-
-  friend bool operator==(const Point& a, const Point& b) {
-    return a.coordinates_ == b.coordinates_;
-  }
+  friend bool operator==(const Point& a, const Point& b);
   friend bool operator!=(const Point& a, const Point& b) { return !(a == b); }
 
   // "(x1, x2, ..., xd)" rendering for diagnostics.
   std::string ToString() const;
 
  private:
-  std::vector<double> coordinates_;
+  Point(const double* coordinates, size_t dimension);
+
+  bool IsInline() const { return dimension_ <= kInlineDimension; }
+  const double* data() const { return IsInline() ? inline_ : heap_; }
+  // Frees heap coordinates, leaving an empty inline point.
+  void Release();
+  // Moves other's coordinates into this empty point, leaving `other`
+  // empty when they were on the heap.
+  void TakeFrom(Point& other);
+
+  size_t dimension_ = 0;
+  union {
+    double inline_[kInlineDimension] = {};
+    double* heap_;  // owned; dimension_ > kInlineDimension only
+  };
 };
 
 // True iff p[i] >= q[i] on every dimension (reflexive dominance). This is

@@ -13,6 +13,7 @@
 #ifndef MONOCLASS_GRAPH_GRAPH_H_
 #define MONOCLASS_GRAPH_GRAPH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -31,10 +32,10 @@ inline constexpr double kFlowEps = 1e-9;
 class FlowNetwork {
  public:
   struct Edge {
-    int to = 0;          // head vertex
-    size_t rev = 0;      // index of the reverse edge in adjacency_[to]
-    double residual = 0; // remaining capacity
-    double capacity = 0; // original capacity (0 for reverse twins)
+    int to = 0;           // head vertex
+    uint32_t rev = 0;     // index of the reverse edge in adjacency_[to]
+    double residual = 0;  // remaining capacity
+    double capacity = 0;  // original capacity (0 for reverse twins)
   };
 
   explicit FlowNetwork(int num_vertices) {
@@ -53,9 +54,24 @@ class FlowNetwork {
     auto& from_list = adjacency_[static_cast<size_t>(u)];
     auto& to_list = adjacency_[static_cast<size_t>(v)];
     const size_t forward_index = from_list.size();
-    from_list.push_back(Edge{v, to_list.size(), capacity, capacity});
-    to_list.push_back(Edge{u, forward_index, 0.0, 0.0});
+    // Edge::rev is 32-bit; u == v puts both twins on one list.
+    MC_CHECK_LT(std::max(forward_index, to_list.size()) + 1, size_t{1} << 32)
+        << "adjacency list too long for a 32-bit reverse index";
+    from_list.push_back(
+        Edge{v, static_cast<uint32_t>(to_list.size()), capacity, capacity});
+    to_list.push_back(
+        Edge{u, static_cast<uint32_t>(forward_index), 0.0, 0.0});
     return forward_index;
+  }
+
+  // Reserves exactly degree[v] adjacency entries for each vertex v
+  // (forward edges plus reverse twins), so a builder that knows its edge
+  // set up front allocates no growth slack. Edge order is unaffected.
+  void ReserveDegrees(const std::vector<size_t>& degree) {
+    MC_CHECK_EQ(degree.size(), adjacency_.size());
+    for (size_t v = 0; v < degree.size(); ++v) {
+      adjacency_[v].reserve(degree[v]);
+    }
   }
 
   // Appends a fresh isolated vertex and returns its index. Incremental
@@ -122,6 +138,9 @@ class FlowNetwork {
  private:
   std::vector<std::vector<Edge>> adjacency_;
 };
+
+static_assert(sizeof(FlowNetwork::Edge) == 24,
+              "FlowNetwork::Edge grew; residual networks hold millions");
 
 // Unweighted bipartite graph for the matching algorithms: left vertices
 // 0..num_left-1, right vertices 0..num_right-1, edges stored on the left.

@@ -5,9 +5,34 @@
 
 #include <algorithm>
 
+#include "core/antichain.h"
+#include "core/invariant_audit.h"
 #include "obs/obs.h"
+#include "util/audit.h"
 
 namespace monoclass {
+namespace {
+
+[[maybe_unused]] AuditResult AuditContending(
+    const PointSet& points, const std::vector<Label>& labels,
+    const ContendingPartition& partition) {
+  if (points.size() > kAntichainOracleCap) return AuditResult::Ok();
+  if (ComputeContendingByScan(points, labels).contending !=
+      partition.contending) {
+    return AuditResult::Fail(
+        "antichain contending set differs from the all-pairs scan");
+  }
+  return AuditResult::Ok();
+}
+
+// Fills is_contending from the increasing index list.
+void FlagContending(ContendingPartition& partition) {
+  for (const size_t i : partition.contending) {
+    partition.is_contending[i] = true;
+  }
+}
+
+}  // namespace
 
 ContendingPartition ComputeContending(const PointSet& points,
                                       const std::vector<Label>& labels,
@@ -18,7 +43,17 @@ ContendingPartition ComputeContending(const PointSet& points,
   partition.is_contending.assign(n, false);
   if (n == 0) return partition;
 
-  // Row i's verdict depends only on row i, so the scan shards cleanly.
+  std::vector<size_t> zeros;
+  std::vector<size_t> ones;
+  for (size_t i = 0; i < n; ++i) {
+    (labels[i] == 0 ? zeros : ones).push_back(i);
+  }
+  const ExtremalAntichain minimal_ones(points.points(), ones,
+                                       Extremal::kMinimal, parallel);
+  const ExtremalAntichain maximal_zeros(points.points(), zeros,
+                                        Extremal::kMaximal, parallel);
+
+  // Row i's verdict depends only on row i, so the queries shard cleanly.
   // Each shard collects its hits locally; ParallelFor never uses more
   // shards than min(resolved threads, n), so sizing the buffer array by
   // that bound covers every shard index it can hand out.
@@ -29,11 +64,9 @@ ContendingPartition ComputeContending(const PointSet& points,
     MC_SPAN("par.contending");
     std::vector<size_t>& hits = shard_hits[shard];
     for (size_t i = begin; i < end; ++i) {
-      bool contending = false;
-      for (size_t j = 0; j < n && !contending; ++j) {
-        if (i == j) continue;
-        contending = LabelsConflict(points[i], labels[i], points[j], labels[j]);
-      }
+      const bool contending = labels[i] == 0
+                                  ? minimal_ones.Covers(points[i])
+                                  : maximal_zeros.Covers(points[i]);
       if (contending) hits.push_back(i);
     }
   });
@@ -41,14 +74,32 @@ ContendingPartition ComputeContending(const PointSet& points,
   // Merge after the join. Shard k covers an index range entirely below
   // shard k+1's, so concatenation reproduces the serial increasing
   // order. is_contending is vector<bool> (bit-packed -- adjacent
-  // elements share a byte), so it must only ever be written here, from
+  // elements share a byte), so it is only written after the join, from
   // one thread.
   for (const std::vector<size_t>& hits : shard_hits) {
-    for (const size_t i : hits) {
-      partition.is_contending[i] = true;
-      partition.contending.push_back(i);
-    }
+    partition.contending.insert(partition.contending.end(), hits.begin(),
+                                hits.end());
   }
+  FlagContending(partition);
+  MC_AUDIT(AuditContending(points, labels, partition));
+  return partition;
+}
+
+ContendingPartition ComputeContendingByScan(const PointSet& points,
+                                            const std::vector<Label>& labels) {
+  MC_CHECK_EQ(points.size(), labels.size());
+  const size_t n = points.size();
+  ContendingPartition partition;
+  partition.is_contending.assign(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    bool contending = false;
+    for (size_t j = 0; j < n && !contending; ++j) {
+      if (i == j) continue;
+      contending = LabelsConflict(points[i], labels[i], points[j], labels[j]);
+    }
+    if (contending) partition.contending.push_back(i);
+  }
+  FlagContending(partition);
   return partition;
 }
 

@@ -24,7 +24,7 @@ namespace monoclass {
 // and the label-0 point weakly dominates the label-1 point (the pair is
 // then a dominance conflict and both endpoints are contending).
 // Coordinate-equal opposite-label pairs conflict in both orders. This is
-// the single shared definition behind the batch scan below and the
+// the single shared definition behind the all-pairs oracle below and the
 // per-delta neighborhood scans of passive/incremental_solver.h.
 inline bool LabelsConflict(const Point& a, Label label_a, const Point& b,
                            Label label_b) {
@@ -41,17 +41,30 @@ struct ContendingPartition {
   std::vector<bool> is_contending;
 };
 
-// Computes P^con in O(d n^2) time. Coordinate-equal pairs with opposite
-// labels are mutually contending (each weakly dominates the other).
+// Computes P^con through the antichain kernel of core/antichain.h. A
+// label-0 point is contending iff it weakly dominates a *minimal*
+// label-1 point; a label-1 point iff a *maximal* label-0 point weakly
+// dominates it (transitivity does the rest). Coordinate-equal pairs with
+// opposite labels are mutually contending (each weakly dominates the
+// other). O(n log n d + n (|M1| + |M0|) d) for the two antichain sizes;
+// O(n log n) for d = 2.
 //
-// The O(n^2) dominance scan is row-partitioned across `parallel`
-// workers; whether point i is contending depends only on row i, so the
-// shards are independent and their index lists concatenate in shard
-// order to the same increasing sequence a serial scan produces.
-// threads = 1 (or a single shard) runs inline with no pool involvement.
+// The antichain sweeps use `parallel` as core/antichain.h describes, and
+// the per-point queries are row-partitioned across `parallel` workers;
+// whether point i is contending depends only on row i and the two
+// read-only antichains, so the shards are independent and their index
+// lists concatenate in shard order to the same increasing sequence a
+// serial pass produces. threads = 1 (or a single shard) runs inline with
+// no pool involvement.
 ContendingPartition ComputeContending(const PointSet& points,
                                       const std::vector<Label>& labels,
                                       const ParallelOptions& parallel = {});
+
+// The all-pairs definition of P^con, O(d n^2), serial: the oracle
+// ComputeContending is tested (and under MONOCLASS_AUDIT, checked)
+// against.
+ContendingPartition ComputeContendingByScan(const PointSet& points,
+                                            const std::vector<Label>& labels);
 
 }  // namespace monoclass
 

@@ -34,9 +34,17 @@ void FinalizePassiveResult(const WeightedPointSet& set,
       << "Lemma 16 violated: cut classifier is not monotone";
   result.classifier = *std::move(classifier);
 
+  // The certificate FromAssignment just passed makes h equal the
+  // assignment on every point, so w-err_P(h) is the weight of the points
+  // whose assignment differs from their label, summed in index order --
+  // the same double WeightedError(h, set) adds up, without evaluating h.
+  double error = 0.0;
+  for (size_t i = 0; i < set.size(); ++i) {
+    if (result.assignment[i] != set.label(i)) error += set.weight(i);
+  }
+  result.optimal_weighted_error = error;
   // Cross-check Lemma 17 + Lemma 15: the classifier's weighted error on the
   // full set equals the max-flow (= min-cut) value.
-  result.optimal_weighted_error = WeightedError(result.classifier, set);
   MC_CHECK_LE(std::abs(result.optimal_weighted_error - result.flow_value),
               kErrorCheckTolerance * std::max(1.0, result.flow_value))
       << "flow value disagrees with classifier error";

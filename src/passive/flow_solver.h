@@ -75,9 +75,11 @@ struct PassiveSolveResult {
 double PassiveInfiniteCapacity(const WeightedPointSet& set);
 
 // Steps the solver pipeline from an optimal 0/1 assignment to a finished
-// result: builds the monotone classifier (Lemma 16), recomputes the
-// weighted error from the classifier, and cross-checks it against
-// result.flow_value (Lemmas 15/17) within the solver's tolerance.
+// result: builds the monotone classifier through the Lemma 16
+// certificate, which also proves the classifier equals the assignment on
+// every point; sums the weighted error of the assignment, and
+// cross-checks it against result.flow_value (Lemmas 15/17) within the
+// solver's tolerance.
 // `result.assignment` and `result.flow_value` must be populated. Shared
 // with passive/incremental_solver.h, which is what makes the warm path's
 // classifier construction bit-identical to the cold solver's.

@@ -234,7 +234,7 @@ void IncrementalPassiveSolver::LeaveContending(size_t id) {
   MC_DCHECK(record.contending);
   if (record.label == 0) {
     for (WireSlot& slot : record.wiring) {
-      if (slot.edge != kNone) RemoveEdge(record.vertex, slot.edge);
+      if (slot.edge() != kNone) RemoveEdge(record.vertex, slot.edge());
     }
     record.wiring.clear();
     record.wiring.shrink_to_fit();
@@ -270,9 +270,16 @@ void IncrementalPassiveSolver::InsertChainMember(size_t id) {
     chains_.emplace_back();
     pos = 0;
     // Every wired label-0 point gains an empty slot for the new chain.
+    // The arrays grow by an eighth rather than by the default doubling:
+    // they all fill up at the same chain count, so doubling slack would
+    // land on every wired point at once.
     for (PointRecord& other : records_) {
       if (other.live && other.contending && other.label == 0) {
-        other.wiring.emplace_back();
+        std::vector<WireSlot>& wiring = other.wiring;
+        if (wiring.size() == wiring.capacity()) {
+          wiring.reserve(wiring.size() + wiring.size() / 8 + 1);
+        }
+        wiring.emplace_back();
       }
     }
   }
@@ -307,9 +314,9 @@ void IncrementalPassiveSolver::InsertChainMember(size_t id) {
     PointRecord& other = records_[p];
     if (!other.live || !other.contending || other.label != 0) continue;
     WireSlot& slot = other.wiring[chain];
-    if (slot.target != below) continue;
+    if (slot.target() != below) continue;
     if (!DominatesEq(points_[p], point)) continue;
-    if (slot.edge != kNone) RemoveEdge(other.vertex, slot.edge);
+    if (slot.edge() != kNone) RemoveEdge(other.vertex, slot.edge());
     slot = WireSlot{id, AddInfiniteEdge(other.vertex, record.relay)};
     ++stats_.retarget_edges;
     MC_COUNTER("mc.inc.retarget_edges", 1);
@@ -332,8 +339,8 @@ void IncrementalPassiveSolver::RemoveChainMember(size_t id) {
     PointRecord& other = records_[p];
     if (!other.live || !other.contending || other.label != 0) continue;
     WireSlot& slot = other.wiring[chain];
-    if (slot.target != id) continue;
-    RemoveEdge(other.vertex, slot.edge);
+    if (slot.target() != id) continue;
+    RemoveEdge(other.vertex, slot.edge());
     if (below != kNone) {
       slot = WireSlot{below, AddInfiniteEdge(other.vertex,
                                              records_[below].relay)};

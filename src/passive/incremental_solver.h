@@ -154,10 +154,29 @@ class IncrementalPassiveSolver {
   // A label-0 contending point's per-chain wiring: the chain member its
   // relay edge targets (the highest member it dominates) and the edge's
   // index in adjacency(vertex). Both kNone when it dominates no member.
-  struct WireSlot {
-    size_t target = static_cast<size_t>(-1);
-    size_t edge = static_cast<size_t>(-1);
+  // One slot per (label-0 contending point, chain) makes this the
+  // solver's largest array, so both fields are stored in 32 bits.
+  class WireSlot {
+   public:
+    WireSlot() = default;
+    WireSlot(size_t target, size_t edge)
+        : target_(Narrow(target)), edge_(Narrow(edge)) {}
+    size_t target() const { return Widen(target_); }
+    size_t edge() const { return Widen(edge_); }
+
+   private:
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+    static uint32_t Narrow(size_t value) {
+      MC_CHECK_LT(value, size_t{kEmpty}) << "wire slot field exceeds 32 bits";
+      return static_cast<uint32_t>(value);
+    }
+    static size_t Widen(uint32_t value) {
+      return value == kEmpty ? kNone : value;
+    }
+    uint32_t target_ = kEmpty;
+    uint32_t edge_ = kEmpty;
   };
+  static_assert(sizeof(WireSlot) == 8);
 
   struct PointRecord {
     Label label = 0;

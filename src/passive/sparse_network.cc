@@ -13,26 +13,6 @@
 namespace monoclass {
 namespace {
 
-// Source -> label-0 point and label-1 point -> sink edges carrying the
-// point weights, in active order (vertex 2 + k for the k-th active
-// point). Both builders lay these down first, identically.
-void AddTerminalEdges(const WeightedPointSet& set,
-                      const std::vector<size_t>& active,
-                      SparseNetworkPlan& plan) {
-  const int source = 0;
-  const int sink = 1;
-  for (size_t k = 0; k < active.size(); ++k) {
-    const size_t i = active[k];
-    const int vertex = static_cast<int>(k) + 2;
-    if (set.label(i) == 0) {
-      plan.network.AddEdge(source, vertex, set.weight(i));
-    } else {
-      plan.network.AddEdge(vertex, sink, set.weight(i));
-    }
-    ++plan.finite_edges;
-  }
-}
-
 // Per-shard (active position, target) hits of a sharded edge scan.
 using ShardEdges = std::vector<std::vector<std::pair<size_t, size_t>>>;
 
@@ -42,20 +22,62 @@ ShardEdges MakeShardEdges(const ParallelOptions& parallel, size_t n) {
       size_t{1}, std::min<size_t>(parallel.Resolve(), n == 0 ? 1 : n)));
 }
 
-// Adds every hit (k, t) as the infinite edge 2 + k -> target_base + t,
-// buffers in shard order, so the edge list is bit-identical to the
-// serial scan at any thread count. FlowNetwork::AddEdge itself is
-// unsynchronized by design -- it never runs concurrently.
-void AddShardEdges(const ShardEdges& shard_edges, int target_base,
-                   double infinite_capacity, SparseNetworkPlan& plan) {
-  for (const auto& edges : shard_edges) {
-    for (const auto& [k, t] : edges) {
-      plan.network.AddEdge(static_cast<int>(k) + 2,
-                           target_base + static_cast<int>(t),
-                           infinite_capacity);
-      ++plan.infinite_edges;
+// Source -> label-0 point and label-1 point -> sink edges carrying the
+// point weights, in active order (vertex 2 + k for the k-th active
+// point), handed to add(u, v, capacity). Both builders lay these down
+// first, identically.
+template <typename Add>
+void ForEachTerminalEdge(const WeightedPointSet& set,
+                         const std::vector<size_t>& active, const Add& add) {
+  const int source = 0;
+  const int sink = 1;
+  for (size_t k = 0; k < active.size(); ++k) {
+    const size_t i = active[k];
+    const int vertex = static_cast<int>(k) + 2;
+    if (set.label(i) == 0) {
+      add(source, vertex, set.weight(i));
+    } else {
+      add(vertex, sink, set.weight(i));
     }
   }
+}
+
+// Hands every hit (k, t) to add() as the infinite edge 2 + k ->
+// target_base + t, buffers in shard order, so the edge list is
+// bit-identical to the serial scan at any thread count.
+template <typename Add>
+void ForEachShardEdge(const ShardEdges& shard_edges, int target_base,
+                      double infinite_capacity, const Add& add) {
+  for (const auto& edges : shard_edges) {
+    for (const auto& [k, t] : edges) {
+      add(static_cast<int>(k) + 2, target_base + static_cast<int>(t),
+          infinite_capacity);
+    }
+  }
+}
+
+// Builds plan.network from for_each_edge(add), which hands every edge to
+// add(u, v, capacity) in insertion order, and returns the edge count. It
+// runs twice: first to count each vertex's degree (reverse twins
+// included), so every adjacency list is reserved once at its exact size,
+// then to add the edges. FlowNetwork::AddEdge is unsynchronized by
+// design -- this never runs concurrently.
+template <typename ForEachEdge>
+size_t LayDownEdges(int num_vertices, const ForEachEdge& for_each_edge,
+                    SparseNetworkPlan& plan) {
+  std::vector<size_t> degree(static_cast<size_t>(num_vertices), 0);
+  size_t edges = 0;
+  for_each_edge([&](int u, int v, double /*capacity*/) {
+    ++degree[static_cast<size_t>(u)];
+    ++degree[static_cast<size_t>(v)];
+    ++edges;
+  });
+  plan.network = FlowNetwork(num_vertices);
+  plan.network.ReserveDegrees(degree);
+  for_each_edge([&](int u, int v, double capacity) {
+    plan.network.AddEdge(u, v, capacity);
+  });
+  return edges;
 }
 
 }  // namespace
@@ -85,12 +107,11 @@ SparseNetworkPlan BuildDenseDominanceNetwork(
   const size_t num_active = active.size();
   SparseNetworkPlan plan;
   plan.relay_begin = -1;
-  plan.network = FlowNetwork(static_cast<int>(num_active) + 2);
-  AddTerminalEdges(set, active, plan);
 
   // Dominance-edge discovery is the O(n^2) part; it only *reads* the
   // point set, so rows shard freely. Each shard records its (a, b) hits
-  // in a local buffer, inserted into the network only after the scan.
+  // in a local buffer, inserted into the network only after the scan,
+  // once every vertex's adjacency is reserved to its exact degree.
   ShardEdges shard_edges = MakeShardEdges(parallel, num_active);
   ParallelFor(num_active, parallel,
               [&](size_t begin, size_t end, size_t shard) {
@@ -109,7 +130,15 @@ SparseNetworkPlan BuildDenseDominanceNetwork(
                   }
                 }
               });
-  AddShardEdges(shard_edges, 2, infinite_capacity, plan);
+  const size_t edges = LayDownEdges(
+      static_cast<int>(num_active) + 2,
+      [&](const auto& add) {
+        ForEachTerminalEdge(set, active, add);
+        ForEachShardEdge(shard_edges, 2, infinite_capacity, add);
+      },
+      plan);
+  plan.finite_edges = num_active;  // one terminal edge per active point
+  plan.infinite_edges = edges - num_active;
   return plan;
 }
 
@@ -149,29 +178,11 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
     plan.num_relays += members[c].size();
   }
 
-  plan.network =
-      FlowNetwork(static_cast<int>(num_active + plan.num_relays) + 2);
-  AddTerminalEdges(set, active, plan);
-
-  // Relay spines: each relay feeds its own label-1 point and the next
-  // relay down its chain.
-  for (size_t c = 0; c < members.size(); ++c) {
-    for (size_t t = 0; t < members[c].size(); ++t) {
-      const int relay = plan.relay_begin +
-                        static_cast<int>(relay_offset[c] + t);
-      plan.network.AddEdge(relay, static_cast<int>(members[c][t]) + 2,
-                           infinite_capacity);
-      ++plan.infinite_edges;
-      if (t > 0) {
-        plan.network.AddEdge(relay, relay - 1, infinite_capacity);
-        ++plan.infinite_edges;
-      }
-    }
-  }
-
   // Per-point relay wiring: for every label-0 point, one binary search
   // per chain. Rows only read the point set, so they shard freely, under
-  // the same merge contract as the dense dominance scan above.
+  // the same merge contract as the dense dominance scan above. The hits
+  // are buffered before the first edge is added, so every vertex's
+  // adjacency can be reserved to its exact degree.
   ShardEdges shard_edges = MakeShardEdges(parallel, num_active);
   ParallelFor(num_active, parallel,
               [&](size_t begin, size_t end, size_t shard) {
@@ -191,7 +202,28 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
                   }
                 }
               });
-  AddShardEdges(shard_edges, plan.relay_begin, infinite_capacity, plan);
+
+  const size_t edges = LayDownEdges(
+      static_cast<int>(num_active + plan.num_relays) + 2,
+      [&](const auto& add) {
+        ForEachTerminalEdge(set, active, add);
+        // Relay spines: each relay feeds its own label-1 point and the
+        // next relay down its chain.
+        for (size_t c = 0; c < members.size(); ++c) {
+          for (size_t t = 0; t < members[c].size(); ++t) {
+            const int relay =
+                plan.relay_begin + static_cast<int>(relay_offset[c] + t);
+            add(relay, static_cast<int>(members[c][t]) + 2,
+                infinite_capacity);
+            if (t > 0) add(relay, relay - 1, infinite_capacity);
+          }
+        }
+        ForEachShardEdge(shard_edges, plan.relay_begin, infinite_capacity,
+                         add);
+      },
+      plan);
+  plan.finite_edges = num_active;  // one terminal edge per active point
+  plan.infinite_edges = edges - num_active;
   return plan;
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace monoclass {
 namespace {
 
@@ -20,6 +23,51 @@ TEST(PointTest, Equality) {
   EXPECT_EQ((Point{1, 2}), (Point{1, 2}));
   EXPECT_NE((Point{1, 2}), (Point{1, 3}));
   EXPECT_NE((Point{1, 2}), (Point{2, 1}));
+}
+
+// Copies, moves and self-assignment at d <= kInlineDimension (inline
+// coordinates) and above it (heap coordinates), including mixed pairs.
+TEST(PointTest, CopyMoveAndSelfAssignmentInlineAndHeap) {
+  const Point small{1, 2, 3, 4};
+  const Point large{1, 2, 3, 4, 5, 6};
+  ASSERT_EQ(small.dimension(), Point::kInlineDimension);
+  for (const Point& original : {small, large, Point{}}) {
+    Point copy(original);
+    EXPECT_EQ(copy, original);
+    Point moved(std::move(copy));
+    EXPECT_EQ(moved, original);
+    Point assigned{9};
+    assigned = original;
+    EXPECT_EQ(assigned, original);
+    Point move_assigned{7, 7, 7, 7, 7, 7, 7};
+    move_assigned = std::move(assigned);
+    EXPECT_EQ(move_assigned, original);
+    Point& alias = move_assigned;
+    move_assigned = alias;
+    EXPECT_EQ(move_assigned, original);
+    move_assigned = std::move(alias);
+    EXPECT_EQ(move_assigned, original);
+    for (size_t i = 0; i < original.dimension(); ++i) {
+      EXPECT_EQ(move_assigned[i], original[i]);
+    }
+  }
+  std::vector<Point> points;
+  for (int i = 0; i < 40; ++i) {
+    points.push_back(i % 2 == 0 ? large : small);
+  }
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(points[static_cast<size_t>(i)], i % 2 == 0 ? large : small);
+  }
+}
+
+TEST(PointTest, EqualityComparesDimensionAndCoordinates) {
+  EXPECT_EQ((Point{1, 2, 3, 4, 5}), (Point{1, 2, 3, 4, 5}));
+  EXPECT_NE((Point{1, 2, 3, 4, 5}), (Point{1, 2, 3, 4, 6}));
+  EXPECT_NE((Point{1, 2, 3, 4}), (Point{1, 2, 3, 4, 0}));
+  EXPECT_NE((Point{0, 0}), (Point{0, 0, 0}));
+  EXPECT_EQ(Point{}, Point(std::vector<double>{}));
+  EXPECT_EQ((Point{0.0, 1.0}), (Point{-0.0, 1.0}));
+  EXPECT_EQ((Point{1, 2, 3, 4, 5, 6}).ToString(), "(1, 2, 3, 4, 5, 6)");
 }
 
 TEST(PointTest, ToString) {
