@@ -49,11 +49,15 @@ struct FlightRing {
   Slot slots[kFlightRingSlots];
 };
 
-// Every ring ever created, for snapshots. Rings are leaked (never
-// removed) so a snapshot taken after a thread exits still sees its tail.
+// Every ring ever created, for snapshots, and the rings whose threads
+// have exited, for reuse. A ring never leaves `rings`, so a snapshot
+// still sees a departed thread's tail until the next thread to record
+// takes the ring off `free` and resets it; ring memory is bounded by the
+// peak number of live recording threads.
 struct RingRegistry {
   Mutex mu;
   std::vector<FlightRing*> rings MC_GUARDED_BY(mu);
+  std::vector<FlightRing*> free MC_GUARDED_BY(mu);
 };
 
 RingRegistry& Rings() {
@@ -61,16 +65,51 @@ RingRegistry& Rings() {
   return *registry;
 }
 
-FlightRing* ThisThreadRing() {
-  thread_local FlightRing* ring = [] {
-    auto* created = new FlightRing();  // leaked: see RingRegistry
-    created->tid = CurrentThreadId();
+void ResetRing(FlightRing& ring) {
+  ring.head.store(0, mc::memory_order_relaxed);
+  for (Slot& slot : ring.slots) slot.seq.store(0, mc::memory_order_relaxed);
+}
+
+// Takes a departed thread's ring (emptied) or registers a new one. The
+// tid hand-off happens under the registry mutex, which every snapshot
+// also holds while reading it.
+FlightRing* AcquireRing() {
+  const uint32_t tid = CurrentThreadId();
+  RingRegistry& registry = Rings();
+  MutexLock lock(registry.mu);
+  FlightRing* ring = nullptr;
+  if (registry.free.empty()) {
+    ring = new FlightRing();
+    registry.rings.push_back(ring);
+  } else {
+    ring = registry.free.back();
+    registry.free.pop_back();
+    ResetRing(*ring);
+  }
+  ring->tid = tid;
+  return ring;
+}
+
+// The calling thread's ring, handed to the free list when the thread
+// exits.
+struct RingLease {
+  FlightRing* ring = nullptr;
+  RingLease() = default;
+  RingLease(const RingLease&) = delete;
+  RingLease& operator=(const RingLease&) = delete;
+  ~RingLease() {
+    if (ring == nullptr) return;
     RingRegistry& registry = Rings();
     MutexLock lock(registry.mu);
-    registry.rings.push_back(created);
-    return created;
-  }();
-  return ring;
+    registry.free.push_back(ring);
+    ring = nullptr;
+  }
+};
+
+FlightRing* ThisThreadRing() {
+  thread_local RingLease lease;
+  if (lease.ring == nullptr) lease.ring = AcquireRing();
+  return lease.ring;
 }
 
 struct NameTable {
@@ -158,12 +197,7 @@ void StopFlightRecording() {
 void ResetFlightRecorder() {
   RingRegistry& registry = Rings();
   MutexLock lock(registry.mu);
-  for (FlightRing* ring : registry.rings) {
-    ring->head.store(0, mc::memory_order_relaxed);
-    for (Slot& slot : ring->slots) {
-      slot.seq.store(0, mc::memory_order_relaxed);
-    }
-  }
+  for (FlightRing* ring : registry.rings) ResetRing(*ring);
 }
 
 namespace internal {
@@ -172,6 +206,13 @@ void DropAllRingsForTesting() {
   MutexLock lock(registry.mu);
   for (FlightRing* ring : registry.rings) delete ring;
   registry.rings.clear();
+  registry.free.clear();
+}
+
+std::size_t RegisteredRingsForTesting() {
+  RingRegistry& registry = Rings();
+  MutexLock lock(registry.mu);
+  return registry.rings.size();
 }
 }  // namespace internal
 

@@ -14,9 +14,10 @@
 // before and after copying the payload; a slot caught mid-write is
 // counted in FlightSnapshot::torn and discarded rather than surfaced
 // half-updated. Events overwritten by ring wraparound are counted in
-// FlightSnapshot::overwritten. Rings are leaked on thread exit so a
-// snapshot taken after a pool shrinks still sees the departed threads'
-// events.
+// FlightSnapshot::overwritten. On thread exit a ring goes to a free
+// list; snapshots still see the departed thread's events until the next
+// thread to record takes the ring over and empties it, so ring memory
+// is bounded by the peak number of live recording threads.
 //
 // Event names are interned into a process-wide table (mutex-guarded, but
 // off the record path: MC_LATENCY / Span cache the id per site/object),
@@ -28,6 +29,7 @@
 #ifndef MONOCLASS_OBS_FLIGHT_H_
 #define MONOCLASS_OBS_FLIGHT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -64,23 +66,23 @@ struct FlightSnapshot {
 namespace internal {
 extern mc::atomic<bool> g_flight_active;
 // Slots per thread ring; must be a power of two. At 32 bytes per slot a
-// ring is 128 KiB, leaked once per thread that records. Model builds
-// shrink the ring so each execution's per-thread ring is cheap to
-// allocate and destroy (the mc_model scenarios run thousands of
-// executions, and every slot atomic's destructor is a model hook).
+// ring is 128 KiB per live recording thread. Model builds shrink the
+// ring so each execution's per-thread ring is cheap to allocate and
+// destroy (the mc_model scenarios run thousands of executions, and
+// every slot atomic's destructor is a model hook).
 #if MC_MODEL_COMPILED
 constexpr std::size_t kFlightRingSlots = 16;
 #else
 constexpr std::size_t kFlightRingSlots = 4096;
 #endif
 
-// Frees every registered ring and empties the registry. ONLY for tests
-// that spawn short-lived recording threads in a loop (the mc_model
-// scenarios run thousands of executions; without this each execution
-// would leak a 128 KiB ring per thread). Every thread that ever
-// recorded must have exited first -- their cached thread_local ring
-// pointers dangle after this call.
+// Frees every ring and empties the registry and its free list. ONLY
+// for the mc_model scenarios, whose writers must create their ring
+// inside each execution. Every thread that ever recorded must have
+// exited first -- their cached ring pointers dangle after this call.
 void DropAllRingsForTesting();
+// Rings currently registered (live threads' and free ones).
+std::size_t RegisteredRingsForTesting();
 }  // namespace internal
 
 // Recording control, independent of tracing (MONOCLASS_FLIGHT=1 turns it

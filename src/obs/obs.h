@@ -29,12 +29,13 @@
 //   MC_HISTOGRAM("name", value)  distribution observation (count/sum/
 //                                min/max/mean; a LatencyHistogram)
 //   MC_SPAN("name")              RAII trace span for the enclosing scope
-//   MC_LATENCY("name")           RAII latency-histogram timer for the
-//                                enclosing scope (quantile-exact
-//                                LatencyHistogram, microseconds); also
+//   MC_LATENCY("name")           MC_SPAN's obs::Span that also times
+//                                the scope into a quantile-exact
+//                                LatencyHistogram (microseconds); it
 //                                emits flight-recorder begin/end events
-//                                when flight recording is on. Names must
-//                                start with "mc.lat." (lint rule MC010).
+//                                but no trace-buffer events, and costs
+//                                one relaxed load when obs is off. Names
+//                                must start with "mc.lat." (lint MC010).
 //   MC_OBS(code)                 arbitrary code gated like the macros
 //
 // Metric names are string literals; each macro expansion resolves its
@@ -95,54 +96,6 @@ std::string BuildType();
 #include "obs/metrics.h"            // IWYU pragma: export
 #include "obs/trace.h"              // IWYU pragma: export
 
-namespace monoclass {
-namespace obs {
-
-// RAII timer behind MC_LATENCY: resolves its LatencyHistogram once per
-// call site (the resolver is a captureless lambda holding the
-// function-local static), stamps NowMicros() on entry and observes the
-// elapsed microseconds on exit. When flight recording is active it also
-// brackets the scope with kSpanBegin/kSpanEnd events, so latency points
-// show up on the flight timeline without a separate MC_SPAN.
-class LatencyScope {
- public:
-  using Resolver = LatencyHistogram* (*)();
-
-  LatencyScope(const char* name, Resolver resolver) {
-    if (Enabled()) {
-      histogram_ = resolver();
-      start_us_ = NowMicros();
-      if (FlightRecordingActive()) {
-        flight_name_id_ = InternFlightName(name);
-        in_flight_ = true;
-        RecordFlightEvent(FlightEventType::kSpanBegin, flight_name_id_, 0.0);
-      }
-    }
-  }
-
-  ~LatencyScope() {
-    if (histogram_ == nullptr) return;
-    const double elapsed_us = NowMicros() - start_us_;
-    histogram_->Observe(elapsed_us);
-    if (in_flight_) {
-      RecordFlightEvent(FlightEventType::kSpanEnd, flight_name_id_,
-                        elapsed_us);
-    }
-  }
-
-  LatencyScope(const LatencyScope&) = delete;
-  LatencyScope& operator=(const LatencyScope&) = delete;
-
- private:
-  LatencyHistogram* histogram_ = nullptr;
-  double start_us_ = 0.0;
-  uint32_t flight_name_id_ = 0;
-  bool in_flight_ = false;
-};
-
-}  // namespace obs
-}  // namespace monoclass
-
 #define MC_OBS_CONCAT_INNER(a, b) a##b
 #define MC_OBS_CONCAT(a, b) MC_OBS_CONCAT_INNER(a, b)
 
@@ -184,13 +137,13 @@ class LatencyScope {
 #define MC_SPAN(name) \
   ::monoclass::obs::Span MC_OBS_CONCAT(mc_obs_span_, __LINE__)(name)
 
-#define MC_LATENCY(name)                                                    \
-  ::monoclass::obs::LatencyScope MC_OBS_CONCAT(mc_obs_latency_, __LINE__)(  \
-      (name), +[]() -> ::monoclass::obs::LatencyHistogram* {                \
-        static ::monoclass::obs::LatencyHistogram* mc_obs_latency =         \
-            ::monoclass::obs::MetricsRegistry::Global().GetLatency(name);   \
-        return mc_obs_latency;                                              \
-      })
+#define MC_LATENCY(name)                                                \
+  ::monoclass::obs::Span MC_OBS_CONCAT(mc_obs_latency_, __LINE__)(      \
+      (name), ::monoclass::obs::Enabled() ? [] {                        \
+        static auto* mc_obs_latency =                                   \
+            ::monoclass::obs::MetricsRegistry::Global().GetLatency(name); \
+        return mc_obs_latency;                                          \
+      }() : nullptr)
 
 #define MC_OBS(code)                   \
   do {                                 \

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "obs/flight.h"
+#include "obs/latency_histogram.h"
 #include "util/concurrency.h"
 #include "util/json.h"
 
@@ -173,20 +174,25 @@ void WriteTextReport(std::ostream& out) {
 
 Span::Span(const char* name) : name_(name), start_us_(NowMicros()) {
   if (TracingActive()) recorded_ = Record(name_, 'B');
-  if (FlightRecordingActive()) {
-    flight_name_id_ = InternFlightName(name_);
-    in_flight_ = true;
-    RecordFlightEvent(FlightEventType::kSpanBegin, flight_name_id_, 0.0);
-  }
+  BeginFlight();
 }
 
-Span::~Span() {
+void Span::BeginFlight() {
+  if (!FlightRecordingActive()) return;
+  flight_name_id_ = InternFlightName(name_);
+  in_flight_ = true;
+  RecordFlightEvent(FlightEventType::kSpanBegin, flight_name_id_, 0.0);
+}
+
+void Span::End() {
   // The E event is recorded even if tracing stopped mid-span, so every
   // recorded B has a matching E. Same for the flight end event.
   if (recorded_) Record(name_, 'E');
+  if (latency_ == nullptr && !in_flight_) return;
+  const double elapsed_us = NowMicros() - start_us_;
+  if (latency_ != nullptr) latency_->Observe(elapsed_us);
   if (in_flight_) {
-    RecordFlightEvent(FlightEventType::kSpanEnd, flight_name_id_,
-                      NowMicros() - start_us_);
+    RecordFlightEvent(FlightEventType::kSpanEnd, flight_name_id_, elapsed_us);
   }
 }
 

@@ -69,6 +69,8 @@ void WriteChromeTrace(std::ostream& out);
 // becomes one line with call count, total and self wall time.
 void WriteTextReport(std::ostream& out);
 
+class LatencyHistogram;
+
 // RAII span used by MC_SPAN, and the bench-side stopwatch: it always
 // stamps its start time, so ElapsedMillis() measures the scope whether
 // or not anything is recording -- one object both fills a benchmark
@@ -77,10 +79,22 @@ void WriteTextReport(std::ostream& out);
 // the flight recorder is on it additionally brackets itself with
 // begin/end ring events (obs/flight.h), independent of the trace buffer.
 // With both off the cost is one clock read and two relaxed atomic loads.
+// MC_LATENCY's form takes its site's histogram, or nullptr when obs is
+// off (then it does nothing, not even read the clock); it observes the
+// scope's microseconds and brackets the scope in the flight recorder,
+// but writes no trace-buffer events.
 class Span {
  public:
   explicit Span(const char* name);
-  ~Span();
+  Span(const char* name, LatencyHistogram* latency)
+      : name_(name), latency_(latency) {
+    if (latency_ == nullptr) return;
+    start_us_ = NowMicros();
+    BeginFlight();
+  }
+  ~Span() {
+    if (recorded_ || in_flight_ || latency_ != nullptr) End();
+  }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -89,8 +103,12 @@ class Span {
   double ElapsedSeconds() const { return ElapsedMillis() * 1e-3; }
 
  private:
+  void BeginFlight();
+  void End();
+
   const char* name_;
-  double start_us_;
+  double start_us_ = 0.0;
+  LatencyHistogram* latency_ = nullptr;
   bool recorded_ = false;
   bool in_flight_ = false;
   uint32_t flight_name_id_ = 0;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -33,15 +34,15 @@ IncrementalPassiveSolver::IncrementalPassiveSolver(
   for (size_t i = 0; i < initial.size(); ++i) {
     MC_CHECK_GT(initial.weight(i), 0.0);
     points_.Add(initial.point(i));
-    PointRecord record;
-    record.label = initial.label(i);
-    record.weight = initial.weight(i);
-    record.live = true;
-    records_.push_back(std::move(record));
+    records_.push_back(PointRecord{
+        .label = initial.label(i), .weight = initial.weight(i), .live = true});
     total_weight_ += initial.weight(i);
   }
   live_count_ = initial.size();
-  InitConflictCounts();
+  const std::vector<size_t> conflicts = CountConflicts();
+  for (size_t id = 0; id < records_.size(); ++id) {
+    records_[id].conflicts = conflicts[id];
+  }
   Rebuild();
 }
 
@@ -115,26 +116,13 @@ size_t IncrementalPassiveSolver::Insert(const Point& point, Label label,
   MC_CHECK_GT(weight, 0.0);
   const size_t id = records_.size();
   points_.Add(point);
-  PointRecord record;
-  record.label = label;
-  record.weight = weight;
-  record.live = true;
-  records_.push_back(std::move(record));
+  records_.push_back(
+      PointRecord{.label = label, .weight = weight, .live = true});
   ++live_count_;
   total_weight_ += weight;
   if (total_weight_ + 1.0 > infinity_) pending_rebuild_ = true;
 
-  const std::vector<size_t> partners = ConflictPartners(id);
-  std::vector<size_t> enters;
-  for (const size_t j : partners) {
-    if (records_[j].conflicts++ == 0) enters.push_back(j);
-  }
-  records_[id].conflicts = partners.size();
-  if (!partners.empty()) enters.push_back(id);  // id is the largest, so
-                                                // `enters` stays ascending
-  if (!pending_rebuild_) {
-    for (const size_t j : enters) EnterContending(j);
-  }
+  AddConflicts(id);
   ++stats_.inserts;
   MC_COUNTER("mc.inc.inserts", 1);
   FinishDelta();
@@ -145,17 +133,8 @@ void IncrementalPassiveSolver::Erase(size_t id) {
   MC_SPAN("inc/erase");
   MC_LATENCY("mc.lat.inc_delta");
   MC_CHECK(IsLive(id));
-  const std::vector<size_t> partners = ConflictPartners(id);
-  std::vector<size_t> leaves;
-  for (const size_t j : partners) {
-    MC_DCHECK_GT(records_[j].conflicts, 0u);
-    if (--records_[j].conflicts == 0) leaves.push_back(j);
-  }
-  if (records_[id].contending) leaves.push_back(id);
-  std::sort(leaves.begin(), leaves.end());
-  for (const size_t j : leaves) LeaveContending(j);
+  DropConflicts(id);
   records_[id].live = false;
-  records_[id].conflicts = 0;
   --live_count_;
   total_weight_ -= records_[id].weight;
   ++stats_.erases;
@@ -171,35 +150,39 @@ void IncrementalPassiveSolver::Relabel(size_t id, Label label) {
   MC_LATENCY("mc.lat.inc_delta");
   // Tear down the old-label conflicts first (the point leaves as its old
   // self), flip the label, then bring up the new-label conflicts.
-  {
-    const std::vector<size_t> partners = ConflictPartners(id);
-    std::vector<size_t> leaves;
-    for (const size_t j : partners) {
-      MC_DCHECK_GT(records_[j].conflicts, 0u);
-      if (--records_[j].conflicts == 0) leaves.push_back(j);
-    }
-    if (records_[id].contending) leaves.push_back(id);
-    std::sort(leaves.begin(), leaves.end());
-    for (const size_t j : leaves) LeaveContending(j);
-  }
+  DropConflicts(id);
   records_[id].label = label;
-  records_[id].conflicts = 0;
-  {
-    const std::vector<size_t> partners = ConflictPartners(id);
-    std::vector<size_t> enters;
-    for (const size_t j : partners) {
-      if (records_[j].conflicts++ == 0) enters.push_back(j);
-    }
-    records_[id].conflicts = partners.size();
-    if (!partners.empty()) enters.push_back(id);
-    std::sort(enters.begin(), enters.end());
-    if (!pending_rebuild_) {
-      for (const size_t j : enters) EnterContending(j);
-    }
-  }
+  AddConflicts(id);
   ++stats_.relabels;
   MC_COUNTER("mc.inc.relabels", 1);
   FinishDelta();
+}
+
+void IncrementalPassiveSolver::AddConflicts(size_t id) {
+  const std::vector<size_t> partners = ConflictPartners(id);
+  std::vector<size_t> enters;
+  for (const size_t j : partners) {
+    if (records_[j].conflicts++ == 0) enters.push_back(j);
+  }
+  records_[id].conflicts = partners.size();
+  if (!partners.empty()) enters.push_back(id);
+  std::sort(enters.begin(), enters.end());
+  if (!pending_rebuild_) {
+    for (const size_t j : enters) EnterContending(j);
+  }
+}
+
+void IncrementalPassiveSolver::DropConflicts(size_t id) {
+  const std::vector<size_t> partners = ConflictPartners(id);
+  std::vector<size_t> leaves;
+  for (const size_t j : partners) {
+    MC_DCHECK_GT(records_[j].conflicts, 0u);
+    if (--records_[j].conflicts == 0) leaves.push_back(j);
+  }
+  if (records_[id].contending) leaves.push_back(id);
+  std::sort(leaves.begin(), leaves.end());
+  for (const size_t j : leaves) LeaveContending(j);
+  records_[id].conflicts = 0;
 }
 
 void IncrementalPassiveSolver::EnterContending(size_t id) {
@@ -494,9 +477,10 @@ void IncrementalPassiveSolver::FinishDelta() {
   }
 }
 
-void IncrementalPassiveSolver::InitConflictCounts() {
+std::vector<size_t> IncrementalPassiveSolver::CountConflicts() const {
   const size_t n = records_.size();
-  // Row i's count depends only on row i: shards write disjoint records.
+  std::vector<size_t> counts(n, 0);
+  // Row i's count depends only on row i: shards write disjoint entries.
   ParallelFor(n, options_.parallel, [&](size_t begin, size_t end, size_t) {
     MC_SPAN("par.inc_conflict_init");
     for (size_t i = begin; i < end; ++i) {
@@ -509,27 +493,19 @@ void IncrementalPassiveSolver::InitConflictCounts() {
           ++count;
         }
       }
-      records_[i].conflicts = count;
+      counts[i] = count;
     }
   });
+  return counts;
 }
 
 AuditResult IncrementalPassiveSolver::AuditConflictCounts() const {
-  const size_t n = records_.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (!records_[i].live) continue;
-    size_t count = 0;
-    for (size_t j = 0; j < n; ++j) {
-      if (i == j || !records_[j].live) continue;
-      if (LabelsConflict(points_[i], records_[i].label, points_[j],
-                         records_[j].label)) {
-        ++count;
-      }
-    }
-    if (count != records_[i].conflicts) {
+  const std::vector<size_t> counts = CountConflicts();
+  for (size_t i = 0; i < records_.size(); ++i) {
+    if (records_[i].live && counts[i] != records_[i].conflicts) {
       std::ostringstream why;
       why << "conflict count drifted at id " << i << ": maintained "
-          << records_[i].conflicts << ", recounted " << count;
+          << records_[i].conflicts << ", recounted " << counts[i];
       return AuditResult::Fail(why.str());
     }
   }
@@ -542,120 +518,36 @@ void IncrementalPassiveSolver::Rebuild() {
   MC_COUNTER("mc.inc.rebuilds", 1);
   MC_AUDIT(AuditConflictCounts());
   pending_rebuild_ = false;
-  network_dirty_ = false;
   dead_edge_entries_ = 0;
-  active_finite_edges_ = 0;
-  active_infinite_edges_ = 0;
-  flow_value_ = 0.0;
-  num_contending_ = 0;
   chains_.clear();
-  network_ = FlowNetwork(2);
   infinity_ = std::max(1.0, 2.0 * total_weight_ + 1.0);
   for (PointRecord& record : records_) {
-    record.contending = false;
-    record.vertex = -1;
-    record.relay = -1;
-    record.terminal_edge = kNone;
-    record.feed_edge = kNone;
-    record.spine_edge = kNone;
-    record.chain = kNone;
-    record.chain_pos = kNone;
-    record.wiring.clear();
-    record.wiring.shrink_to_fit();
+    record = PointRecord{.label = record.label,
+                         .weight = record.weight,
+                         .live = record.live,
+                         .conflicts = record.conflicts};
   }
 
   // Contending membership is conflicts > 0 (maintained incrementally and
-  // just audited against the batch ComputeContending definition above).
-  std::vector<size_t> ones;   // contending label-1, ascending
-  std::vector<size_t> zeros;  // contending label-0, ascending
+  // just audited against a full recount above). The shared builder lays
+  // the network down; the k-th contending id becomes vertex 2 + k.
+  std::vector<size_t> ids;
+  WeightedPointSet contending;
   for (size_t id = 0; id < records_.size(); ++id) {
     const PointRecord& record = records_[id];
     if (!record.live || record.conflicts == 0) continue;
-    (record.label == 1 ? ones : zeros).push_back(id);
+    ids.push_back(id);
+    contending.Add(points_[id], record.label, record.weight);
   }
-
-  // Chains over the label-1 side only -- the relay construction never
-  // consults label-0 chain membership, so decomposing the smaller set
-  // keeps the same transparency argument with fewer chains.
-  if (!ones.empty()) {
-    MC_SPAN("inc/rebuild_chains");
-    const ChainDecomposition decomposition =
-        ScalableChainDecomposition(points_.Subset(ones));
-    chains_.assign(decomposition.NumChains(), {});
-    for (size_t c = 0; c < decomposition.chains.size(); ++c) {
-      for (const size_t k : decomposition.chains[c]) {
-        chains_[c].push_back(ones[k]);
-      }
-    }
-  }
-
-  // Point vertices + terminal edges in ascending id order, then relays in
-  // chain order, then label-0 wiring -- the same deterministic layout a
-  // replay of EnterContending calls would produce.
-  for (size_t id = 0; id < records_.size(); ++id) {
-    PointRecord& record = records_[id];
-    if (!record.live || record.conflicts == 0) continue;
-    record.contending = true;
-    ++num_contending_;
-    record.vertex = network_.AddVertex();
-    record.terminal_edge =
-        record.label == 0
-            ? AddFiniteEdge(kSource, record.vertex, record.weight)
-            : AddFiniteEdge(record.vertex, kSink, record.weight);
-  }
-  for (size_t c = 0; c < chains_.size(); ++c) {
-    for (size_t t = 0; t < chains_[c].size(); ++t) {
-      PointRecord& record = records_[chains_[c][t]];
-      record.chain = c;
-      record.chain_pos = t;
-      record.relay = network_.AddVertex();
-      record.feed_edge = AddInfiniteEdge(record.relay, record.vertex);
-      record.spine_edge =
-          t > 0 ? AddInfiniteEdge(record.relay,
-                                  records_[chains_[c][t - 1]].relay)
-                : kNone;
-    }
-  }
-  // Per-point relay wiring: one binary search per (label-0 point, chain),
-  // sharded with shard-order merge (the sparse builder's contract).
-  const size_t num_zeros = zeros.size();
-  const size_t max_shards = std::max<size_t>(
-      size_t{1},
-      std::min<size_t>(options_.parallel.Resolve(),
-                       num_zeros == 0 ? 1 : num_zeros));
-  struct WireHit {
-    size_t zero_index;
-    size_t chain;
-    size_t target;
-  };
-  std::vector<std::vector<WireHit>> shard_hits(max_shards);
-  ParallelFor(num_zeros, options_.parallel,
-              [&](size_t begin, size_t end, size_t shard) {
-                MC_SPAN("par.inc_rebuild_wiring");
-                std::vector<WireHit>& hits = shard_hits[shard];
-                for (size_t k = begin; k < end; ++k) {
-                  const Point& point = points_[zeros[k]];
-                  for (size_t c = 0; c < chains_.size(); ++c) {
-                    if (chains_[c].empty()) continue;
-                    const size_t t =
-                        HighestDominatedPosition(points_, chains_[c], point);
-                    if (t != kNoDominatedMember) {
-                      hits.push_back(WireHit{k, c, chains_[c][t]});
-                    }
-                  }
-                }
-              });
-  for (const size_t id : zeros) {
-    records_[id].wiring.assign(chains_.size(), WireSlot{});
-  }
-  for (const auto& hits : shard_hits) {
-    for (const WireHit& hit : hits) {
-      PointRecord& record = records_[zeros[hit.zero_index]];
-      record.wiring[hit.chain] = WireSlot{
-          hit.target,
-          AddInfiniteEdge(record.vertex, records_[hit.target].relay)};
-    }
-  }
+  std::vector<size_t> active(ids.size());
+  std::iota(active.begin(), active.end(), size_t{0});
+  SparseNetworkPlan plan = BuildSparseChainRelayNetwork(
+      contending, active, infinity_, options_.parallel);
+  network_ = std::move(plan.network);
+  num_contending_ = ids.size();
+  active_finite_edges_ = plan.finite_edges;
+  active_infinite_edges_ = plan.infinite_edges;
+  AdoptNetworkHandles(ids, plan.relay_begin);
 
   {
     MC_SPAN("inc/rebuild_solve");
@@ -665,6 +557,74 @@ void IncrementalPassiveSolver::Rebuild() {
   result_dirty_ = true;
   MC_AUDIT(AuditFlowConservation(network_, kSource, kSink, flow_value_,
                                  {.infinity_threshold = infinity_}));
+}
+
+void IncrementalPassiveSolver::AdoptNetworkHandles(
+    const std::vector<size_t>& ids, int relay_begin) {
+  const auto forward = [](const FlowNetwork::Edge& edge) {
+    return edge.capacity > 0.0;  // reverse twins carry no capacity
+  };
+  // Network vertex -> owning id: point vertices here, each relay once
+  // its feed edge (the one into a point vertex) is read.
+  std::vector<size_t> owner(static_cast<size_t>(network_.NumVertices()),
+                            kNone);
+  for (size_t k = 0; k < ids.size(); ++k) {
+    records_[ids[k]].contending = true;
+    records_[ids[k]].vertex = static_cast<int>(k) + 2;
+    owner[k + 2] = ids[k];
+  }
+  const auto& source_edges = network_.adjacency(kSource);
+  for (size_t e = 0; e < source_edges.size(); ++e) {
+    records_[owner[static_cast<size_t>(source_edges[e].to)]].terminal_edge =
+        e;
+  }
+
+  // A chain is a maximal run of spine edges. The builder numbers each
+  // chain's relays upward from its bottom, chain after chain, so a relay
+  // without a spine edge opens the next chain and one with a spine edge
+  // extends the chain of the relay below it.
+  for (int relay = relay_begin; relay < network_.NumVertices(); ++relay) {
+    const auto& edges = network_.adjacency(relay);
+    size_t feed = kNone;
+    size_t spine = kNone;
+    for (size_t e = 0; e < edges.size(); ++e) {
+      if (forward(edges[e])) (edges[e].to < relay_begin ? feed : spine) = e;
+    }
+    MC_CHECK_NE(feed, kNone) << "relay " << relay << " feeds no point";
+    const size_t id = owner[static_cast<size_t>(edges[feed].to)];
+    owner[static_cast<size_t>(relay)] = id;
+    PointRecord& record = records_[id];
+    record.relay = relay;
+    record.feed_edge = feed;
+    record.spine_edge = spine;
+    if (spine == kNone) {
+      record.chain = chains_.size();
+      chains_.emplace_back();
+    } else {
+      const int below = edges[spine].to;
+      MC_CHECK_LT(below, relay) << "spine edges point down";
+      record.chain = records_[owner[static_cast<size_t>(below)]].chain;
+    }
+    record.chain_pos = chains_[record.chain].size();
+    chains_[record.chain].push_back(id);
+  }
+
+  // A point vertex's other forward edges: a label-1 point's edge to the
+  // sink, a label-0 point's WireSlots, one per chain it reaches.
+  for (const size_t id : ids) {
+    PointRecord& record = records_[id];
+    if (record.label == 0) record.wiring.assign(chains_.size(), WireSlot{});
+    const auto& edges = network_.adjacency(record.vertex);
+    for (size_t e = 0; e < edges.size(); ++e) {
+      if (!forward(edges[e])) continue;
+      if (edges[e].to == kSink) {
+        record.terminal_edge = e;
+      } else {
+        const size_t target = owner[static_cast<size_t>(edges[e].to)];
+        record.wiring[records_[target].chain] = WireSlot{target, e};
+      }
+    }
+  }
 }
 
 const PassiveSolveResult& IncrementalPassiveSolver::Solve() {

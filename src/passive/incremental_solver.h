@@ -17,7 +17,8 @@
 //     after one O(d n) scan;
 //   * the chain structure: chains over the contending label-1 points,
 //     extended in O(log |chain|) per member via ChainInsertPosition and
-//     re-decomposed (ScalableChainDecomposition) only on compaction;
+//     re-decomposed only on compaction, when the cold builder
+//     (BuildSparseChainRelayNetwork) lays the whole network down again;
 //   * the sparse chain-relay network (passive/sparse_network.h wiring
 //     rule, HighestDominatedPosition): one relay per contending label-1
 //     point, patched edge-by-edge -- a delta rewires only the touched
@@ -206,6 +207,10 @@ class IncrementalPassiveSolver {
   // labels currently stored, in increasing id order.
   std::vector<size_t> ConflictPartners(size_t id) const;
 
+  // AddConflicts counts `id`'s conflicts on both sides and brings points
+  // whose count left 0 into the network; DropConflicts undoes it.
+  void AddConflicts(size_t id);
+  void DropConflicts(size_t id);
   void EnterContending(size_t id);
   void LeaveContending(size_t id);
   void InsertChainMember(size_t id);
@@ -226,10 +231,15 @@ class IncrementalPassiveSolver {
   bool NeedsRebuild() const;
   // Compaction / cold start: re-derives chains, network and flow from
   // the live records (conflict counts are maintained incrementally and
-  // stay authoritative across rebuilds).
+  // stay authoritative across rebuilds). The network is laid down by
+  // BuildSparseChainRelayNetwork over the live contending points.
   void Rebuild();
-  void InitConflictCounts();
-  // O(d n^2) recount of every conflict counter, for MC_AUDIT.
+  // Reads every record's handles back from the endpoints of the freshly
+  // built network_ (ids[k] is vertex 2 + k, relays from relay_begin).
+  void AdoptNetworkHandles(const std::vector<size_t>& ids, int relay_begin);
+  // O(d n^2) sharded count of every live id's conflicts (0 for dead
+  // ids): the bulk load's counts and the MC_AUDIT recount.
+  std::vector<size_t> CountConflicts() const;
   AuditResult AuditConflictCounts() const;
 
   IncrementalSolveOptions options_;

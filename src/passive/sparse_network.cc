@@ -150,32 +150,29 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
   SparseNetworkPlan plan;
   plan.relay_begin = static_cast<int>(num_active) + 2;
 
-  // Decompose the active points into chains. Positions below are indices
-  // into `active` (the subset's own index space).
+  // Decompose the active label-1 points into chains; each member gets
+  // one relay. The relay construction never consults label-0 chain
+  // membership, so the label-1 side alone keeps the same transparency
+  // argument with fewer chains (docs/sparse_network.md). Chain members
+  // index `ones`, the label-1 positions in `active`.
+  std::vector<size_t> ones;
+  PointSet one_points;
+  for (size_t k = 0; k < num_active; ++k) {
+    if (set.label(active[k]) != 1) continue;
+    ones.push_back(k);
+    one_points.Add(set.point(active[k]));
+  }
   ChainDecomposition decomposition;
   {
     MC_SPAN("passive/sparse_chains");
-    decomposition = ScalableChainDecomposition(set.points().Subset(active));
+    decomposition = ScalableChainDecomposition(one_points);
   }
-  plan.num_chains = decomposition.NumChains();
-
-  // The label-1 members of each chain, in ascending chain order; each
-  // gets one relay. A chain's label-1 members form a chain themselves,
-  // so the binary-search prefix property carries over.
-  std::vector<std::vector<size_t>> members(decomposition.NumChains());
-  // The same members as indices into set.points(), for the shared
-  // HighestDominatedPosition binary search.
-  std::vector<std::vector<size_t>> global_members(decomposition.NumChains());
-  std::vector<size_t> relay_offset(decomposition.NumChains(), 0);
-  for (size_t c = 0; c < decomposition.chains.size(); ++c) {
+  const std::vector<std::vector<size_t>>& chains = decomposition.chains;
+  plan.num_chains = chains.size();
+  std::vector<size_t> relay_offset(chains.size(), 0);
+  for (size_t c = 0; c < chains.size(); ++c) {
     relay_offset[c] = plan.num_relays;
-    for (const size_t k : decomposition.chains[c]) {
-      if (set.label(active[k]) == 1) {
-        members[c].push_back(k);
-        global_members[c].push_back(active[k]);
-      }
-    }
-    plan.num_relays += members[c].size();
+    plan.num_relays += chains[c].size();
   }
 
   // Per-point relay wiring: for every label-0 point, one binary search
@@ -192,10 +189,9 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
                 for (size_t k = begin; k < end; ++k) {
                   if (set.label(active[k]) != 0) continue;
                   const Point& point = set.point(active[k]);
-                  for (size_t c = 0; c < members.size(); ++c) {
-                    if (members[c].empty()) continue;
-                    const size_t t = HighestDominatedPosition(
-                        set.points(), global_members[c], point);
+                  for (size_t c = 0; c < chains.size(); ++c) {
+                    const size_t t =
+                        HighestDominatedPosition(one_points, chains[c], point);
                     if (t != kNoDominatedMember) {
                       edges.emplace_back(k, relay_offset[c] + t);
                     }
@@ -209,11 +205,11 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
         ForEachTerminalEdge(set, active, add);
         // Relay spines: each relay feeds its own label-1 point and the
         // next relay down its chain.
-        for (size_t c = 0; c < members.size(); ++c) {
-          for (size_t t = 0; t < members[c].size(); ++t) {
+        for (size_t c = 0; c < chains.size(); ++c) {
+          for (size_t t = 0; t < chains[c].size(); ++t) {
             const int relay =
                 plan.relay_begin + static_cast<int>(relay_offset[c] + t);
-            add(relay, static_cast<int>(members[c][t]) + 2,
+            add(relay, static_cast<int>(ones[chains[c][t]]) + 2,
                 infinite_capacity);
             if (t > 0) add(relay, relay - 1, infinite_capacity);
           }

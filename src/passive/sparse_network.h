@@ -8,12 +8,12 @@
 // dominating (label-0 p, label-1 q) pair -- Theta(n^2) edges, which caps
 // the n the passive solver scales to long before the max-flow solve
 // does. The paper's own machinery fixes this: a chain decomposition
-// (Lemma 6) totally orders each chain, so the transitive bundle of
-// infinite edges into a chain can be routed through one relay vertex per
-// label-1 chain member:
+// (Lemma 6) of the label-1 points totally orders each chain, so the
+// transitive bundle of infinite edges into a chain can be routed through
+// one relay vertex per chain member:
 //
-//   * relay r_c[t] owns the t-th label-1 point q_c[t] of chain c (chain
-//     order ascending under dominance) and feeds it: r_c[t] -> q_c[t];
+//   * relay r_c[t] owns the t-th point q_c[t] of chain c (chain order
+//     ascending under dominance) and feeds it: r_c[t] -> q_c[t];
 //   * relays chain downward, r_c[t] -> r_c[t-1], so reaching a relay
 //     reaches every label-1 point below it on the chain;
 //   * each label-0 point p gets one edge per chain, p -> r_c[t*], where
@@ -86,13 +86,18 @@ SparseNetworkPlan BuildDenseDominanceNetwork(
     const WeightedPointSet& set, const std::vector<size_t>& active,
     double infinite_capacity, const ParallelOptions& parallel = {});
 
-// Builds the sparse chain-relay network over the same inputs. Terminal
-// edges carry the point weights; every other edge carries
-// `infinite_capacity`. The per-point relay wiring (the dominant
-// O(n w log n) part) shards across `parallel` workers with per-shard
-// buffers merged in shard order, so the edge list -- and hence the max-
-// flow traversal order and the extracted classifier -- is bit-identical
-// to the serial build at every thread count.
+// Builds the sparse chain-relay network over the same inputs, chaining
+// the active label-1 points with ScalableChainDecomposition. Terminal
+// edges carry the point weights, every other edge `infinite_capacity`.
+// A relay's forward edges are its feed edge to its point vertex and
+// (above a chain's bottom) its spine edge to the relay below; a label-0
+// vertex's forward edges go to relays, at most one per chain. The
+// incremental solver's rebuild reads its handles back from these
+// endpoints. The per-point relay wiring (the dominant O(n w log n) part)
+// shards across `parallel` workers with per-shard buffers merged in
+// shard order, so the edge list -- and hence the max-flow traversal
+// order and the extracted classifier -- is bit-identical to the serial
+// build at every thread count.
 SparseNetworkPlan BuildSparseChainRelayNetwork(
     const WeightedPointSet& set, const std::vector<size_t>& active,
     double infinite_capacity, const ParallelOptions& parallel = {});

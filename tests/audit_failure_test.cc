@@ -18,20 +18,10 @@
 
 #include "fuzz/fuzz_util.h"
 #include "gtest/gtest.h"
+#include "incremental_solver_test_peer.h"
 #include "monoclass.h"
 
 namespace monoclass {
-
-// Private-state access for the corruption tests (friend of
-// IncrementalPassiveSolver).
-struct IncrementalSolverTestPeer {
-  static FlowNetwork& network(IncrementalPassiveSolver& solver) {
-    return solver.network_;
-  }
-  static double& flow_value(IncrementalPassiveSolver& solver) {
-    return solver.flow_value_;
-  }
-};
 
 namespace {
 

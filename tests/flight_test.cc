@@ -157,6 +157,39 @@ TEST_F(FlightTest, EightConcurrentWritersStayDecodable) {
   EXPECT_EQ(tids.size(), kWriters);
 }
 
+TEST_F(FlightTest, ExitedThreadsHandTheirRingsOn) {
+  StartFlightRecording();
+  const uint32_t name = InternFlightName("flight_test.short_lived");
+  const auto record_once = [name] {
+    RecordFlightEvent(FlightEventType::kCounter, name, 1.0);
+  };
+  mc::thread(record_once).join();
+  const size_t rings = internal::RegisteredRingsForTesting();
+  // A departed thread's events stay visible until its ring is reused.
+  EXPECT_EQ(EventsNamed(SnapshotFlight(), name).size(), 1u);
+
+  // One recording thread alive at a time: each takes over the ring its
+  // predecessor left, emptied.
+  for (int i = 0; i < 100; ++i) mc::thread(record_once).join();
+  EXPECT_EQ(internal::RegisteredRingsForTesting(), rings);
+  EXPECT_EQ(EventsNamed(SnapshotFlight(), name).size(), 1u);
+
+  // Waves of four live recording threads add at most four rings.
+  constexpr int kLive = 4;
+  for (int wave = 0; wave < 25; ++wave) {
+    std::vector<mc::thread> threads;
+    for (int t = 0; t < kLive; ++t) threads.emplace_back(record_once);
+    for (mc::thread& thread : threads) thread.join();
+  }
+  StopFlightRecording();
+  EXPECT_LE(internal::RegisteredRingsForTesting(), rings + kLive);
+  const FlightSnapshot snapshot = SnapshotFlight();
+  EXPECT_EQ(snapshot.torn, 0u);
+  // A wave's threads may finish before the next one starts, so it keeps
+  // between one and four of its events.
+  EXPECT_GE(EventsNamed(snapshot, name).size(), 1u);
+}
+
 TEST_F(FlightTest, BinaryDumpRoundTrips) {
   StartFlightRecording();
   const uint32_t span = InternFlightName("flight_test.dump_span");

@@ -12,10 +12,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/antichain.h"
+#include "core/chain_decomposition.h"
 #include "core/dataset.h"
+#include "data/synthetic.h"
+#include "incremental_solver_test_peer.h"
+#include "passive/contending.h"
 #include "passive/flow_solver.h"
+#include "passive/sparse_network.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -283,6 +290,121 @@ TEST(IncrementalSolverTest, StatsAndDiagnosticsTrackDeltas) {
   EXPECT_EQ(solver.NumRelays(),
             solver.Solve().network_relays);
   ExpectMatchesCold(solver, "after stats stream");
+}
+
+// The cold builder's network over the solver's current contending set
+// (Lemma 15's predicate recomputed on the snapshot), at the solver's own
+// infinite capacity.
+SparseNetworkPlan ColdPlan(const IncrementalPassiveSolver& solver) {
+  const WeightedPointSet snapshot = solver.Snapshot();
+  const std::vector<size_t> active =
+      ComputeContending(snapshot.points(), snapshot.labels()).contending;
+  return BuildSparseChainRelayNetwork(
+      snapshot, active, IncrementalSolverTestPeer::infinity(solver));
+}
+
+// Edge for edge: the same vertex count and, per vertex, the same
+// adjacency list -- head, reverse index, capacity, and residual once
+// both flows are reset.
+void ExpectSameNetwork(FlowNetwork warm, FlowNetwork cold,
+                       const std::string& context) {
+  warm.ResetFlow();
+  cold.ResetFlow();
+  ASSERT_EQ(warm.NumVertices(), cold.NumVertices()) << context;
+  for (int v = 0; v < warm.NumVertices(); ++v) {
+    const auto& a = warm.adjacency(v);
+    const auto& b = cold.adjacency(v);
+    ASSERT_EQ(a.size(), b.size()) << context << ", vertex " << v;
+    for (size_t e = 0; e < a.size(); ++e) {
+      ASSERT_EQ(a[e].to, b[e].to) << context << ", edge " << v << ":" << e;
+      ASSERT_EQ(a[e].rev, b[e].rev) << context << ", edge " << v << ":" << e;
+      ASSERT_EQ(a[e].capacity, b[e].capacity)
+          << context << ", edge " << v << ":" << e;
+      ASSERT_EQ(a[e].residual, b[e].residual)
+          << context << ", edge " << v << ":" << e;
+    }
+  }
+}
+
+// Bulk load, then a forced compaction after a burst of deltas: both
+// networks must be the cold builder's, edge for edge.
+void ExpectBuilderNetworkAcrossCompaction(const WeightedPointSet& initial,
+                                          Rng& rng,
+                                          const std::string& context) {
+  IncrementalPassiveSolver solver(initial);
+  ExpectSameNetwork(IncrementalSolverTestPeer::network(solver),
+                    ColdPlan(solver).network, context + " bulk load");
+  const size_t d = initial.dimension();
+  for (int step = 0; step < 30; ++step) {
+    std::vector<double> coords(d);
+    for (double& c : coords) c = rng.UniformDouble();
+    solver.Insert(Point(std::move(coords)), rng.Bernoulli(0.5) ? 1 : 0,
+                  rng.UniformDoubleInRange(0.5, 2.0));
+    const std::vector<size_t> live = solver.LiveIds();
+    solver.Erase(live[rng.UniformInt(live.size())]);
+    const size_t id = live[rng.UniformInt(live.size())];
+    if (solver.IsLive(id)) {
+      solver.Relabel(id, rng.Bernoulli(0.5) ? 1 : 0);
+    }
+  }
+  IncrementalSolverTestPeer::Compact(solver);
+  ExpectSameNetwork(IncrementalSolverTestPeer::network(solver),
+                    ColdPlan(solver).network, context + " compaction");
+  EXPECT_TRUE(solver.AuditIncrementalCut().ok) << context;
+}
+
+TEST(IncrementalSolverTest, RebuildLaysDownTheColdBuildersNetwork) {
+  for (const size_t d : {size_t{2}, size_t{3}, size_t{4}}) {
+    for (const uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+      const PlantedInstance planted = GeneratePlanted(
+          {.num_points = 1500, .dimension = d, .noise_flips = 150,
+           .seed = seed});
+      Rng rng(seed);
+      WeightedPointSet initial;
+      for (size_t i = 0; i < planted.data.size(); ++i) {
+        initial.Add(planted.data.point(i), planted.data.label(i),
+                    rng.UniformDoubleInRange(0.5, 3.0));
+      }
+      ExpectBuilderNetworkAcrossCompaction(
+          initial, rng,
+          "d=" + std::to_string(d) + " seed=" + std::to_string(seed));
+    }
+  }
+}
+
+TEST(IncrementalSolverTest, RebuildMatchesBuilderAcrossExactMatchingLimit) {
+  // More contending points than kSparseExactMatchingLimit, but not more
+  // label-1 ones: decomposing every contending point would fall back to
+  // first-fit, decomposing the label-1 side stays exact.
+  Rng rng(2048);
+  const WeightedPointSet initial =
+      testing_util::RandomWeightedSet(rng, 2600, 3, /*positive_rate=*/0.45);
+  const std::vector<size_t> contending =
+      ComputeContending(initial.points(), initial.labels()).contending;
+  size_t ones = 0;
+  for (const size_t i : contending) ones += initial.label(i);
+  ASSERT_GT(contending.size(), kSparseExactMatchingLimit);
+  ASSERT_LE(ones, kSparseExactMatchingLimit);
+  ExpectBuilderNetworkAcrossCompaction(initial, rng, "d=3 n=2600");
+}
+
+TEST(IncrementalSolverTest, ChainsAreAMinimumDecompositionOfLabelOneIn2D) {
+  for (const uint64_t seed : {uint64_t{3}, uint64_t{4}}) {
+    const PlantedInstance planted = GeneratePlanted(
+        {.num_points = 2000, .dimension = 2, .noise_flips = 200,
+         .seed = seed});
+    const WeightedPointSet initial =
+        WeightedPointSet::UnitWeights(planted.data);
+    IncrementalPassiveSolver solver(initial);
+    std::vector<size_t> ones;
+    for (const size_t i :
+         ComputeContending(initial.points(), initial.labels()).contending) {
+      if (initial.label(i) == 1) ones.push_back(i);
+    }
+    const size_t width = DominanceWidth(initial.points().Subset(ones));
+    EXPECT_EQ(solver.Solve().network_chains, width) << "seed=" << seed;
+    EXPECT_EQ(ColdPlan(solver).num_chains, width) << "seed=" << seed;
+  }
 }
 
 }  // namespace

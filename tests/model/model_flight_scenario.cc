@@ -10,6 +10,12 @@
 //                        asserts a snapshot never surfaces a torn
 //                        event and that the event is intact once the
 //                        writer has joined.
+//   handoff_good      -- the REAL ring hand-off: a first thread records
+//                        and exits, then a second thread records (taking
+//                        the first one's ring off the free list) while
+//                        the root thread snapshots. Asserts a snapshot
+//                        pairs each event with the tid of the thread
+//                        that wrote it, and that the ring is reused.
 //   seqlock_good      -- a faithful miniature of the slot protocol
 //                        (odd seq -> release fence -> payload -> even
 //                        seq release) with TWO generations written to
@@ -24,10 +30,12 @@
 //   seqlock_noacquire -- reader's acquire fence dropped instead; same
 //                        expectation, exercised from the load side.
 //
-// The real-code scenario interns its event name and starts flight
+// The real-code scenarios intern their event name and start flight
 // recording BEFORE Explore() so those one-time global stores are not
-// part of the modeled state space, and drops all rings at the top of
-// each execution so per-execution rings do not accumulate.
+// part of the modeled state space, and drop all rings at the top of
+// each execution so the first writer creates its ring inside the
+// execution instead of taking over the ring the previous execution's
+// writer left on the free list.
 
 #include <cstdint>
 
@@ -43,7 +51,7 @@ uint32_t g_event_name = 0;
 
 void FlightWriterVsSnapshotBody() {
   // The previous execution's writer thread has joined, so its ring can
-  // be freed; without this every execution leaks one ring.
+  // be freed rather than reused across executions.
   obs::internal::DropAllRingsForTesting();
 
   mc::thread writer([] {
@@ -70,6 +78,40 @@ void FlightWriterVsSnapshotBody() {
   model::Check(after.events[0].value == 42.0,
                "event corrupted after writer joined");
   model::Check(after.torn == 0, "quiescent snapshot reported a torn slot");
+}
+
+void FlightRingHandoffBody() {
+  obs::internal::DropAllRingsForTesting();
+
+  mc::thread first([] {
+    obs::RecordFlightEvent(obs::FlightEventType::kCounter, g_event_name, 1.0);
+  });
+  first.join();
+  // The departed thread's tail stays visible until its ring is reused.
+  const obs::FlightSnapshot departed = obs::SnapshotFlight();
+  model::Check(departed.events.size() == 1 && departed.events[0].value == 1.0,
+               "departed thread's event not visible");
+  const uint32_t first_tid = departed.events[0].tid;
+
+  mc::thread second([] {
+    obs::RecordFlightEvent(obs::FlightEventType::kCounter, g_event_name, 2.0);
+  });
+  // Concurrent with the takeover: the old event under the old tid, or
+  // nothing, or the new event under the new tid -- never a mix.
+  const obs::FlightSnapshot during = obs::SnapshotFlight();
+  model::Check(during.events.size() <= 1, "snapshot invented an event");
+  for (const obs::FlightEvent& event : during.events) {
+    model::Check((event.value == 1.0) == (event.tid == first_tid),
+                 "snapshot paired an event with the other thread's tid");
+  }
+  second.join();
+
+  const obs::FlightSnapshot after = obs::SnapshotFlight();
+  model::Check(after.events.size() == 1 && after.events[0].value == 2.0 &&
+                   after.events[0].tid != first_tid,
+               "reused ring was not emptied and re-owned");
+  model::Check(obs::internal::RegisteredRingsForTesting() == 1,
+               "second thread did not reuse the departed thread's ring");
 }
 
 // ---------------------------------------------------------------------
@@ -131,6 +173,7 @@ int main(int argc, char** argv) {
 
   std::map<std::string, ScenarioSpec> specs;
   specs["good"] = {{}, monoclass::FlightWriterVsSnapshotBody};
+  specs["handoff_good"] = {{}, monoclass::FlightRingHandoffBody};
   specs["seqlock_good"] = {{}, [] { monoclass::MiniSeqlockBody(true, true); }};
   specs["seqlock_nofence"] = {{},
                               [] { monoclass::MiniSeqlockBody(false, true); }};
